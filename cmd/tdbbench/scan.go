@@ -5,7 +5,9 @@
 // kept as the in-file baseline) and once with the default window, so the
 // scans/s ratio and the coalesced-read / prefetch-hit counters record what
 // the pipeline buys. The scan-vs-writer variant adds a continuous durable
-// writer, checking the pipeline holds up while the log churns underneath.
+// writer, checking the pipeline holds up while the log churns underneath;
+// the scan-fragmented variant rewrites every 8th object before the sweep, so
+// the loaded run is broken by the dead records updates leave behind.
 //
 // Like the TPC-B harness (tpcb.BenchEnv), the storage substrate is the
 // simulated mechanical disk with the paper's parameters — here with read
@@ -149,6 +151,13 @@ func (e *scanEnv) open() (*tdb.DB, error) {
 	})
 }
 
+// scanWindow is the prefetch depth the pipeline rows run at: the engine's
+// default iterator window (Options.ScanPrefetch left zero).
+const scanWindow = 256
+
+// fragmentEvery is the stride of the tracks scan-fragmented rewrites.
+const fragmentEvery = 8
+
 // newScanEnv builds the stack and loads the tracks collection. Like the
 // objstore disk variants, maintenance is deferred to isolate the measured
 // path (the paper's §7.3 experiments drive cleaning separately; the chaos
@@ -186,6 +195,27 @@ func newScanEnv(shape scanShape) (*scanEnv, *tdb.DB, error) {
 		return nil, nil, err
 	}
 	return e, db, nil
+}
+
+// fragment rewrites every fragmentEvery-th track in one durable transaction.
+// Each rewrite moves the object's record to the log tail and leaves a dead
+// record inside the loaded run: the layout a stream of updates produces,
+// where a planner that merges only touching records pays a seek per hole.
+func (e *scanEnv) fragment(db *tdb.DB) error {
+	ot := db.BeginObject()
+	for i := 0; i < len(e.oids); i += fragmentEvery {
+		ref, err := tdb.OpenWritable[*benchTrack](ot, e.oids[i])
+		if err != nil {
+			ot.Abort()
+			return err
+		}
+		// The loaded tracks share one payload slice until a reopen; give the
+		// rewritten track its own.
+		tr := ref.Deref()
+		tr.Payload = append([]byte(nil), tr.Payload...)
+		tr.Payload[0]++
+	}
+	return ot.Commit(true)
 }
 
 // reopen closes db and reopens it over the same store so every cache starts
@@ -357,7 +387,7 @@ func statsDelta(before, after tdb.Stats) scanStatsDelta {
 
 // runScanExperiments sweeps the scan configurations and appends rows to the
 // report. Every (workload, scanners) pair runs window 0 first — the
-// pre-pipeline baseline row — then the default window 32 on a freshly
+// pre-pipeline baseline row — then the default window on a freshly
 // reopened (cold-cache) database, so each pair of adjacent rows is a
 // before/after comparison on identical data.
 func runScanExperiments(report *objstoreReport, smoke bool) error {
@@ -370,20 +400,23 @@ func runScanExperiments(report *objstoreReport, smoke bool) error {
 		workload   string
 		scanners   int
 		withWriter bool
+		fragmented bool
 	}
 	points := []scanPoint{
 		{workload: "scan-heavy", scanners: 1},
 		{workload: "scan-heavy", scanners: 8},
 		{workload: "scan-vs-writer", scanners: 8, withWriter: true},
+		{workload: "scan-fragmented", scanners: 1, fragmented: true},
 	}
 	if smoke {
 		points = []scanPoint{
 			{workload: "scan-heavy", scanners: 8},
 			{workload: "scan-vs-writer", scanners: 8, withWriter: true},
+			{workload: "scan-fragmented", scanners: 1, fragmented: true},
 		}
 	}
 	for _, pt := range points {
-		for _, window := range []int{0, 32} {
+		for _, window := range []int{0, scanWindow} {
 			// A fresh store per configuration: a writer fragments the layout
 			// as it runs (updated objects' current versions scatter to the
 			// log tail), so sharing one store would hand later rows a
@@ -393,6 +426,12 @@ func runScanExperiments(report *objstoreReport, smoke bool) error {
 			e, db, err := newScanEnv(shape)
 			if err != nil {
 				return err
+			}
+			if pt.fragmented {
+				if err := e.fragment(db); err != nil {
+					db.Close()
+					return fmt.Errorf("scan %s: %w", pt.workload, err)
+				}
 			}
 			if db, err = e.reopen(db); err != nil {
 				return err
@@ -405,7 +444,7 @@ func runScanExperiments(report *objstoreReport, smoke bool) error {
 				return fmt.Errorf("scan %s x%d w%d: %w", pt.workload, pt.scanners, window, err)
 			}
 			report.ScanRuns = append(report.ScanRuns, res)
-			fmt.Printf("  %-14s %d scanners w%-2d %8.2f scans/s %9.0f objs/s   cpu %7.1fms + disk %8.1fms /scan   coalesced %6.1f/scan   prefetched %7.1f/scan   hits %6d   wasted %5d   slow %5d   writer %5.0f commits/s\n",
+			fmt.Printf("  %-15s %d scanners w%-3d %8.2f scans/s %9.0f objs/s   cpu %7.1fms + disk %8.1fms /scan   coalesced %6.1f/scan   prefetched %7.1f/scan   hits %6d   wasted %5d   slow %5d   writer %5.0f commits/s\n",
 				res.Workload, res.Scanners, res.Window, res.ScansPerSec, res.ObjectsPerSec,
 				res.CPUMillisPerScan, res.DiskMillisPerScan, res.CoalescedReadsPerScan,
 				res.PrefetchedChunksPerScan, res.PrefetchHits, res.PrefetchWasted,

@@ -78,8 +78,8 @@ func (h *Handle) newIterator(collect func(fn func(objectstore.ObjectID) error) e
 // SetPrefetch overrides the scan-prefetch window for this iterator: n
 // objects are fetched, validated, and decrypted ahead of the cursor. 0
 // disables prefetching; negative restores the store default (Options
-// ScanPrefetch / TDB_SCANPREFETCH, default 32). Effective only before the
-// first Next; later calls are ignored.
+// ScanPrefetch, default 256). Effective only before the first Next; later
+// calls are ignored.
 func (it *Iterator) SetPrefetch(n int) {
 	if it.pfStarted {
 		return

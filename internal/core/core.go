@@ -86,8 +86,8 @@ type Options struct {
 	// ScanPrefetch is the default sliding-window depth iterators prefetch
 	// ahead of their cursor: planned, coalesced, and decrypted off-mutex,
 	// landing in the read cache just before dereference. 0 selects the
-	// default (TDB_SCANPREFETCH env override, else 32); negative disables.
-	// Iterator.SetPrefetch overrides per scan.
+	// default (256 objects); negative disables. Iterator.SetPrefetch
+	// overrides per scan.
 	ScanPrefetch int
 
 	// ReadCacheBytes bounds the chunk store's validated-plaintext read

@@ -3,8 +3,6 @@ package objectstore
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,29 +35,17 @@ type Config struct {
 	// way the paper's C++ Refs do).
 	ReadonlyChecks bool
 	// ScanPrefetch is the default sliding-window depth iterators prefetch
-	// ahead of their cursor through Txn.Prefetch. 0 selects the default:
-	// the TDB_SCANPREFETCH environment variable when set ("off"/"0"/"false"
-	// disables, an integer sets the window), otherwise 32. A negative value
-	// disables scan prefetching.
+	// ahead of their cursor through Txn.Prefetch. 0 selects
+	// defaultScanPrefetch; a negative value disables scan prefetching.
 	ScanPrefetch int
 }
 
-// defaultScanPrefetch resolves the scan-prefetch default once per process:
-// the TDB_SCANPREFETCH environment variable when set (the chaos and bench
-// suites sweep it so the disabled path stays exercised), otherwise 32.
-var defaultScanPrefetch = sync.OnceValue(func() int {
-	switch v := os.Getenv("TDB_SCANPREFETCH"); v {
-	case "", "on", "true":
-		return 32
-	case "off", "false", "0":
-		return -1
-	default:
-		if n, err := strconv.Atoi(v); err == nil && n != 0 {
-			return n
-		}
-		return 32
-	}
-})
+// defaultScanPrefetch is the iterator prefetch window when Config leaves it
+// zero. Refills claim half the window at a time, so the window bounds how
+// many records one ReadBatch sees: records an update relocated near each
+// other in the log tail can only share a coalesced segment read if they land
+// in the same refill (DESIGN.md §7.8).
+const defaultScanPrefetch = 256
 
 // Store is the object store. Its single state mutex serializes operations;
 // the mutex is released while a transaction waits on an object lock
@@ -116,7 +102,7 @@ func Open(cfg Config) (*Store, error) {
 		cfg.LockTimeout = 250 * time.Millisecond
 	}
 	if cfg.ScanPrefetch == 0 {
-		cfg.ScanPrefetch = defaultScanPrefetch()
+		cfg.ScanPrefetch = defaultScanPrefetch
 	}
 	s := &Store{
 		cfg:      cfg,

@@ -53,8 +53,8 @@ type DB = core.DB
 // chunk store include Options.GroupCommit (durable-commit coalescing),
 // Options.WriteBehind (tail-buffer batching of log appends; the
 // TDB_WRITEBEHIND environment variable overrides the default cap), and
-// Options.ScanPrefetch (the iterator scan-prefetch window; TDB_SCANPREFETCH
-// overrides the default, Iterator.SetPrefetch overrides per scan), and
+// Options.ScanPrefetch (the iterator scan-prefetch window, default 256;
+// Iterator.SetPrefetch overrides per scan), and
 // Options.ReadCacheBytes (the validated-plaintext read cache prefetched
 // chunks land in and concurrent scanners share).
 type Options = core.Options
