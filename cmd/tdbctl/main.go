@@ -123,7 +123,9 @@ func printStats(db *tdb.DB) {
 	fmt.Printf("chunks:       %d\n", st.Chunks)
 	fmt.Printf("commit seq:   %d\n", st.CommitSeq)
 	fmt.Printf("cleanings:    %d (copied %d bytes)\n", st.Cleanings, st.CleanedBytes)
+	fmt.Printf("clean cycles: %d\n", st.CleanCycles)
 	fmt.Printf("checkpoints:  %d\n", st.Checkpoints)
+	fmt.Printf("map dirty:    %d bytes\n", st.MapDirtyBytes)
 }
 
 func fatal(err error) {

@@ -102,13 +102,17 @@ func Run(cfg Config) (*Result, error) {
 	reg.Register(objClass, func() tdb.Object { return &Obj{} })
 	h.arch = platform.NewMemArchive()
 	h.opts = tdb.Options{
-		Secret:                []byte(chaosSecret),
-		Suite:                 "aes-sha256",
-		Registry:              reg,
-		Archive:               h.arch,
-		SegmentSize:           32 << 10,
-		DisableAutoClean:      true, // cleaning and checkpointing are
-		DisableAutoCheckpoint: true, // explicit actions in the mix
+		Secret:      []byte(chaosSecret),
+		Suite:       "aes-sha256",
+		Registry:    reg,
+		Archive:     h.arch,
+		SegmentSize: 32 << 10,
+		// Post-commit cleaning is on, one segment per step, so a cleaning
+		// cycle left open across commits meets the crash storms whenever
+		// the log outgrows its trigger; checkpoints stay an explicit action
+		// in the mix.
+		CleanStepBytes:        32 << 10,
+		DisableAutoCheckpoint: true,
 		WriteBehind:           cfg.WriteBehind,
 		Retry:                 tdb.RetryPolicy{Sleep: func(time.Duration) {}},
 		GroupCommit:           tdb.GroupCommitConfig{Enabled: true},

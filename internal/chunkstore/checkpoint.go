@@ -399,6 +399,7 @@ func (s *Store) checkpointLocked() error {
 		n.hash = s.suite.Hash(plain)
 		n.hashStale = false
 	}
+	s.lm.dirtyBytes = 0
 	// With children refreshed bottom-up, the root hash is now current.
 	rootHash := s.lm.rootHash()
 
@@ -450,5 +451,9 @@ func (s *Store) checkpointLocked() error {
 	s.lastCkpt = ckptLoc
 	s.residualBytes = 0
 	s.statCheckpoints++
+	// The nodes written above can be evicted again: return them from the
+	// pool's parked list and trim the pool back to its budget.
+	s.cfg.CachePool.Unpark()
+	s.cfg.CachePool.Enforce()
 	return nil
 }

@@ -113,12 +113,19 @@ type Stats struct {
 	Chunks int64
 	// CommitSeq is the sequence number of the most recent commit.
 	CommitSeq uint64
-	// Cleanings counts cleaner passes; CleanedBytes counts bytes of live
-	// data the cleaner copied forward.
+	// Cleanings counts victim segments the cleaner evacuated; CleanCycles
+	// counts cleaning cycles closed (each closes with one checkpoint and
+	// frees its victims); CleanedBytes counts bytes of live data the
+	// cleaner copied forward.
 	Cleanings    int64
+	CleanCycles  int64
 	CleanedBytes int64
 	// Checkpoints counts checkpoint operations.
 	Checkpoints int64
+	// MapDirtyBytes is the cache footprint of location map nodes the next
+	// checkpoint must write; an open cleaning cycle closes when it reaches
+	// half the shared cache budget.
+	MapDirtyBytes int64
 	// CacheBytes is the memory accounted to cached map nodes.
 	CacheBytes int64
 	// ReadCacheBytes is the memory resident in the validated-plaintext read

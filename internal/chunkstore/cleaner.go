@@ -12,12 +12,27 @@ import (
 // bounding database size at the configured utilization. Cleaning cost grows
 // steeply with utilization — the effect Figure 11 measures.
 //
+// A cleaning cycle spans commits. Each post-commit step copies at most
+// CleanStepBytes of live data and leaves its evacuated victims on
+// cleanVictims; only the step that closes the cycle takes a checkpoint and
+// frees them. Every checkpoint rewrites the whole dirty location map, and
+// the map nodes it writes become the next cycle's garbage, so taking one
+// checkpoint per cycle rather than one per step removes most of the
+// cleaner's write volume.
+//
 // Safety: a segment is freed only after (a) every live record in it has
 // been copied to the tail and (b) a checkpoint has durably committed the
-// copies and the relocated location map. This also subsumes the paper's
+// copies and the relocated location map. Until then the victim stays on
+// disk, so a crash in an open cycle recovers to a map that points either at
+// the victim or at a replayed copy. This also subsumes the paper's
 // nondurable-commit pin (§3.2.2): versions obsoleted by a nondurable commit
-// are never reclaimed before the next durable commit, because cleaning
-// itself ends in a durable checkpoint.
+// are never reclaimed before the next durable commit, because a cycle
+// closes with a durable checkpoint.
+
+// maxCycleVictims caps how many evacuated segments one cycle holds back
+// from the free list; the closing checkpoint's segment table and the disk
+// held by pending victims both grow with it.
+const maxCycleVictims = 64
 
 // targetDiskBytes returns the permitted total log size for the current
 // amount of live data.
@@ -46,16 +61,31 @@ func (s *Store) cleanTriggerBytes() int64 {
 	return target + slack
 }
 
-// cleanLocked runs one cleaning cycle: it evacuates victim segments until
-// the store fits its size target (or the copy budget runs out), then
-// durably publishes all relocations with a single checkpoint and frees the
-// victims. Batching many victims under one checkpoint matters: each
-// checkpoint rewrites the dirty location map, so per-victim checkpoints
-// would dominate the write volume. In aggressive (idle) mode the cycle
+// mapDirtyCapped reports that the dirty location map fills half the shared
+// cache budget. Dirty nodes cannot be evicted, so an open cycle that kept
+// relocating records would crowd the object cache out of the pool; closing
+// the cycle writes them and makes them evictable again.
+func (s *Store) mapDirtyCapped() bool {
+	budget := s.cfg.CachePool.Budget()
+	return budget > 0 && s.lm.dirtyBytes >= budget/2
+}
+
+// cleanLocked runs one step of a cleaning cycle, opening a cycle when the
+// log has outgrown its trigger size. The step evacuates victim segments
+// until it has copied copyBudget bytes of live data, then returns with the
+// cycle open. The cycle closes — one checkpoint publishes every relocation
+// and frees the victims — once the store is back at its size target, no
+// victim is eligible, maxCycleVictims are pending, or the dirty location
+// map reaches half the cache budget. In aggressive (idle) mode the cycle
 // compacts every segment holding garbage, regardless of the size target.
 func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
-	if !aggressive && s.segs.totalSize() <= s.cleanTriggerBytes() {
+	if len(s.cleanVictims) == 0 && !aggressive && s.segs.totalSize() <= s.cleanTriggerBytes() {
 		return nil
+	}
+	if s.cleanClosing {
+		// A previous close failed after deciding to close; retry it before
+		// choosing more victims.
+		return s.closeCleanCycleLocked()
 	}
 	// Like every append-capable operation, cleaning must first discard the
 	// orphaned tail of a failed commit; relocated records appended after it
@@ -69,17 +99,26 @@ func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
 	if err := s.segs.flushLocked(); err != nil {
 		return err
 	}
-	var victims []uint64
-	chosen := map[uint64]bool{}
+	chosen := make(map[uint64]bool, len(s.cleanVictims))
 	var freedPlanned int64
+	for _, num := range s.cleanVictims {
+		chosen[num] = true
+		if seg := s.segs.segs[num]; seg != nil {
+			freedPlanned += seg.size
+		}
+	}
+	evacuated := false
 	checkpointed := false
-	for copyBudget > 0 && len(victims) < 64 {
-		if !aggressive && s.segs.totalSize()-freedPlanned <= s.targetDiskBytes() {
+	for copyBudget > 0 {
+		if len(s.cleanVictims) >= maxCycleVictims ||
+			(!aggressive && s.segs.totalSize()-freedPlanned <= s.targetDiskBytes()) {
+			s.cleanClosing = true
 			break
 		}
 		num, ok, blocked := s.pickVictim(aggressive, chosen)
 		if !ok {
 			if !blocked || checkpointed {
+				s.cleanClosing = true
 				break
 			}
 			// Eligible garbage exists but lies at or after the last
@@ -97,40 +136,68 @@ func (s *Store) cleanLocked(copyBudget int64, aggressive bool) error {
 		}
 		copyBudget -= liveBefore
 		chosen[num] = true
-		victims = append(victims, num)
+		s.cleanVictims = append(s.cleanVictims, num)
 		freedPlanned += seg.size
+		evacuated = true
 		s.statCleanings++
 	}
-	if len(victims) == 0 {
+	if evacuated {
+		// Evacuation relocated live records, so off-mutex reads planned
+		// against the pre-step map must fail revalidation and retry (their
+		// pinned old segment stays readable until they unpin; see
+		// segment.readers).
+		s.locEpoch.Add(1)
+	}
+	// The dirty-map bound is checked after the step's work, so a cycle
+	// opened over an already large dirty map still makes one step of
+	// progress before its checkpoint.
+	if s.mapDirtyCapped() {
+		s.cleanClosing = true
+	}
+	if !s.cleanClosing {
 		return nil
 	}
-	// Evacuation relocated live records, so off-mutex reads planned against
-	// the pre-clean map must fail revalidation and retry (their pinned old
-	// segment stays readable until they unpin; see segment.readers).
-	s.locEpoch.Add(1)
-	// Durably publish the relocations, then free the victims. The
-	// checkpoint defers its superblock fsync, but the victims cannot be
-	// freed under a stale durable anchor — recovery would chase the old
-	// checkpoint's segment table into the freed files — so the deferred
-	// sync is paid here, before any segment is unlinked.
+	return s.closeCleanCycleLocked()
+}
+
+// closeCleanCycleLocked closes the open cleaning cycle: it durably publishes
+// the relocations, then frees the victims. The checkpoint defers its
+// superblock fsync, but the victims cannot be freed under a stale durable
+// anchor — recovery would chase the old checkpoint's segment table into the
+// freed files — so the deferred sync is paid here, before any segment is
+// unlinked. A victim an open snapshot still pins is left on disk as 0-live
+// garbage for a later cycle. On error the cycle stays closing and the next
+// step retries.
+func (s *Store) closeCleanCycleLocked() error {
+	if len(s.cleanVictims) == 0 {
+		s.cleanClosing = false
+		return nil
+	}
 	if err := s.checkpointLocked(); err != nil {
 		return err
 	}
 	if err := s.syncSuperIfDirtyLocked(); err != nil {
 		return err
 	}
-	for _, num := range victims {
+	pin := s.minPinnedSegment()
+	for _, num := range s.cleanVictims {
 		seg := s.segs.segs[num]
 		if seg == nil {
-			continue
+			continue // freed by an earlier, partly failed close
 		}
 		if seg.live != 0 {
 			return fmt.Errorf("%w: victim segment %d still has %d live bytes", ErrTampered, num, seg.live)
+		}
+		if pin != ^uint64(0) && num <= pin {
+			continue
 		}
 		if err := s.segs.free(num); err != nil {
 			return err
 		}
 	}
+	s.cleanVictims = s.cleanVictims[:0]
+	s.cleanClosing = false
+	s.statCleanCycles++
 	return nil
 }
 
@@ -355,7 +422,7 @@ func (s *Store) dirtyNodesIn(num uint64) error {
 	var walk func(n *mapNode) error
 	walk = func(n *mapNode) error {
 		if !n.loc.IsZero() && n.loc.Seg == num {
-			n.dirty = true
+			s.lm.markDirty(n)
 		}
 		if n.level == 0 {
 			return nil

@@ -88,8 +88,10 @@ type Config struct {
 	// the location map, so frequent checkpoints inflate write volume; the
 	// paper defers them to idle periods (§3.2.1).
 	CheckpointBytes int64
-	// CleanStepBytes bounds how much live data a single post-commit cleaner
-	// step may copy, bounding per-commit overhead (§3.2.1). Default one
+	// CleanStepBytes is the per-commit step of a cleaning cycle: the most
+	// live data one post-commit cleaner step copies, bounding per-commit
+	// overhead (§3.2.1). A cycle spans as many steps as it needs and
+	// publishes them all with one checkpoint when it closes. Default one
 	// segment.
 	CleanStepBytes int64
 	// CachePool is the shared LRU pool for map nodes; one pool may be

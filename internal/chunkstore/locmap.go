@@ -16,6 +16,10 @@ type locMap struct {
 	root   *mapNode
 	// height is the root's level; the tree covers fanout^(height+1) ids.
 	height int
+	// dirtyBytes is the cache footprint of the current tree's dirty nodes:
+	// what the next checkpoint must write, kept incrementally so the
+	// cleaner can bound an open cycle without walking the tree.
+	dirtyBytes int64
 }
 
 // span returns the number of chunk ids covered by one node at level.
@@ -47,17 +51,41 @@ func newLocMap(cs *Store, fanout int) *locMap {
 	return m
 }
 
-// registerNode accounts a node in the shared cache pool.
+// registerNode accounts a node in the shared cache pool (and, if it is
+// dirty, in dirtyBytes).
 func (m *locMap) registerNode(n *mapNode) {
 	size := n.memSize(m.cs.suite.HashSize())
+	if n.dirty {
+		m.dirtyBytes += size
+	}
 	n.cacheEnt = m.cs.cfg.CachePool.Add(size, func() bool { return m.evict(n) })
 }
 
-// unregisterNode removes the node from the pool without eviction.
+// unregisterNode removes the node from the pool without eviction; the node
+// leaves the current tree (a snapshot clone replaces it).
 func (m *locMap) unregisterNode(n *mapNode) {
+	if n.dirty {
+		m.dirtyBytes -= n.memSize(m.cs.suite.HashSize())
+	}
 	if n.cacheEnt != nil {
 		n.cacheEnt.Remove()
 		n.cacheEnt = nil
+	}
+}
+
+// markDirty flags n as differing from its stored copy.
+func (m *locMap) markDirty(n *mapNode) {
+	if !n.dirty {
+		n.dirty = true
+		m.dirtyBytes += n.memSize(m.cs.suite.HashSize())
+	}
+}
+
+// markClean records that n's stored copy matches its content.
+func (m *locMap) markClean(n *mapNode) {
+	if n.dirty {
+		n.dirty = false
+		m.dirtyBytes -= n.memSize(m.cs.suite.HashSize())
 	}
 }
 
@@ -129,7 +157,7 @@ func (m *locMap) nodeHash(n *mapNode) []byte {
 				e := entry{loc: kid.loc, hash: m.nodeHash(kid)}
 				if e.loc != n.entries[i].loc || !sec.HashEqual(e.hash, n.entries[i].hash) {
 					n.entries[i] = e
-					n.dirty = true
+					m.markDirty(n)
 				}
 			}
 		}
@@ -243,7 +271,7 @@ func (m *locMap) descend(cid ChunkID, forWrite bool) (pathResult, error) {
 				m.registerNode(kid)
 			}
 			n.hashStale = true
-			n.dirty = true
+			m.markDirty(n)
 		}
 		if kid.cacheEnt != nil {
 			kid.cacheEnt.Touch()
@@ -252,7 +280,7 @@ func (m *locMap) descend(cid ChunkID, forWrite bool) (pathResult, error) {
 	}
 	if forWrite {
 		n.hashStale = true
-		n.dirty = true
+		m.markDirty(n)
 	}
 	return pathResult{leaf: n, slot: m.childIndex(cid, 0)}, nil
 }
@@ -356,7 +384,7 @@ func (m *locMap) dirtyNodes() []*mapNode {
 	walk = func(n *mapNode) bool {
 		for _, kid := range n.kids {
 			if kid != nil && walk(kid) {
-				n.dirty = true
+				m.markDirty(n)
 				n.hashStale = true
 			}
 		}

@@ -346,7 +346,7 @@ func (s *Store) noteNodeWritten(level int, index uint64, loc Location, h []byte)
 		old := m.root.loc
 		m.root.loc = loc
 		if sec.HashEqual(s.suite.Hash(m.root.serialize()), h) {
-			m.root.dirty = false
+			m.markClean(m.root)
 			m.root.hash = h
 			m.root.hashStale = false
 		}
@@ -386,7 +386,7 @@ func (s *Store) noteNodeWritten(level int, index uint64, loc Location, h []byte)
 	slot := m.childIndex(cid, level+1)
 	old := n.entries[slot].loc
 	n.entries[slot] = entry{loc: loc, hash: h}
-	n.dirty = true
+	m.markDirty(n)
 	n.hashStale = true
 	if kid := kidAt(n, slot); kid != nil {
 		kid.loc = loc
@@ -395,7 +395,7 @@ func (s *Store) noteNodeWritten(level int, index uint64, loc Location, h []byte)
 		// the next checkpoint (and the usual nodeHash refresh will replace
 		// the entry hash set above with the current content hash).
 		if sec.HashEqual(s.suite.Hash(kid.serialize()), h) {
-			kid.dirty = false
+			m.markClean(kid)
 			kid.hash = h
 			kid.hashStale = false
 		}

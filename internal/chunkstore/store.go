@@ -133,7 +133,16 @@ type Store struct {
 	// only under mu.
 	closed atomic.Bool
 
+	// cleanVictims lists the segments the open cleaning cycle has
+	// evacuated; they are freed when the cycle closes (see cleaner.go).
+	// cleanClosing is set once a step decides to close the cycle and stays
+	// set until the close succeeds, so a failed close is retried by the
+	// next step.
+	cleanVictims []uint64
+	cleanClosing bool
+
 	statCleanings    int64
+	statCleanCycles  int64
 	statCleanedBytes int64
 	statCheckpoints  int64
 }
@@ -1029,15 +1038,17 @@ func (s *Store) Stats() Stats {
 	disk := s.segs.totalSize()
 	live := s.segs.totalLive()
 	st := Stats{
-		Segments:     len(s.segs.segs),
-		DiskBytes:    disk,
-		LiveBytes:    live,
-		Chunks:       s.chunkCount,
-		CommitSeq:    s.commitSeq,
-		Cleanings:    s.statCleanings,
-		CleanedBytes: s.statCleanedBytes,
-		Checkpoints:  s.statCheckpoints,
-		CacheBytes:   s.cfg.CachePool.Used(),
+		Segments:      len(s.segs.segs),
+		DiskBytes:     disk,
+		LiveBytes:     live,
+		Chunks:        s.chunkCount,
+		CommitSeq:     s.commitSeq,
+		Cleanings:     s.statCleanings,
+		CleanCycles:   s.statCleanCycles,
+		CleanedBytes:  s.statCleanedBytes,
+		Checkpoints:   s.statCheckpoints,
+		MapDirtyBytes: s.lm.dirtyBytes,
+		CacheBytes:    s.cfg.CachePool.Used(),
 	}
 	st.ReadCacheBytes, st.ReadCacheHits, st.ReadCacheMisses, st.ReadCacheShards = s.rcache.stats()
 	st.ReadSlowPaths = s.readSlow.Load()

@@ -65,7 +65,8 @@ type Options struct {
 	CacheBytes int64
 	// SegmentSize, Fanout, MaxUtilization, CheckpointBytes, CleanStepBytes
 	// tune the chunk store (zero values select defaults; see
-	// chunkstore.Config).
+	// chunkstore.Config). CleanStepBytes is the per-commit step of a
+	// cleaning cycle; a cycle spans commits and ends in one checkpoint.
 	SegmentSize     int
 	Fanout          int
 	MaxUtilization  float64

@@ -9,45 +9,69 @@
 // evicted through their callbacks.
 package lru
 
-import "container/list"
+import (
+	"container/list"
+	"sync"
+)
 
 // Entry is a cache resident registered with a Pool. The zero value is not
 // usable; create entries through Pool.Add.
 type Entry struct {
 	pool *Pool
 	elem *list.Element
-	size int64
-	pins int
-	// evict is called (with the pool lock held by the caller's goroutine)
-	// when the pool discards the entry. It must drop the owner's reference.
-	// Returning false vetoes the eviction (e.g., a map node with cached
-	// children); the pool then skips this entry.
+	// parked reports that elem lives on the pool's parked list rather than
+	// its LRU list.
+	parked bool
+	size   int64
+	pins   int
+	// evict is called with the pool's lock held when the pool discards the
+	// entry. It must drop the owner's reference and must not call back
+	// into the pool. Returning false vetoes the eviction (e.g., a map node
+	// with cached children); the pool then parks this entry.
 	evict func() bool
 }
 
-// Pool is a fixed-budget LRU list. It is not safe for concurrent use; TDB
-// serializes access through its state mutex, so the pool performs no
-// locking of its own.
+// Pool is a fixed-budget LRU list. Its bookkeeping is guarded by its own
+// lock, because the layers sharing one pool serialize on different
+// mutexes; the eviction callbacks run under that lock.
+//
+// Entries that cannot be evicted when enforcement reaches them (pinned, or
+// vetoing because their owner still needs them — dirty objects, dirty map
+// nodes) move to a parked list that enforcement never scans. A parked entry
+// returns to the LRU list when it is touched, when its last pin drops, or
+// when its owner calls Unpark after making it evictable again (a checkpoint
+// cleaning the map). Each vetoing entry thus costs one evict callback per
+// park instead of one per enforcement pass.
 type Pool struct {
+	mu     sync.Mutex
 	budget int64
 	used   int64
 	ll     *list.List // front = most recently used
+	parked *list.List // front = most recently parked
 }
 
 // NewPool creates a pool with the given byte budget. A non-positive budget
 // disables eviction (everything is cached).
 func NewPool(budget int64) *Pool {
-	return &Pool{budget: budget, ll: list.New()}
+	return &Pool{budget: budget, ll: list.New(), parked: list.New()}
 }
 
-// Used returns the total size of resident entries.
-func (p *Pool) Used() int64 { return p.used }
+// Used returns the total size of resident entries, parked ones included.
+func (p *Pool) Used() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.used
+}
 
 // Budget returns the configured byte budget.
 func (p *Pool) Budget() int64 { return p.budget }
 
-// Len returns the number of resident entries.
-func (p *Pool) Len() int { return p.ll.Len() }
+// Len returns the number of resident entries, parked ones included.
+func (p *Pool) Len() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.ll.Len() + p.parked.Len()
+}
 
 // Add registers a new entry of the given size as most recently used and
 // then enforces the budget. The evict callback must remove the owner's
@@ -57,91 +81,154 @@ func (p *Pool) Len() int { return p.ll.Len() }
 // caller is, by definition, about to use the value, and evicting it midway
 // would hand back a reference the owner no longer tracks.
 func (p *Pool) Add(size int64, evict func() bool) *Entry {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	e := &Entry{pool: p, size: size, evict: evict}
 	e.elem = p.ll.PushFront(e)
 	p.used += size
 	e.pins++
-	p.Enforce()
-	e.pins--
+	p.enforceLocked()
+	e.unpinLocked()
 	return e
 }
 
-// Touch marks the entry most recently used.
+// Touch marks the entry most recently used, returning it from the parked
+// list if it was parked.
 func (e *Entry) Touch() {
-	if e.elem != nil {
+	e.pool.mu.Lock()
+	defer e.pool.mu.Unlock()
+	switch {
+	case e.elem == nil:
+	case e.parked:
+		e.pool.unparkLocked(e)
+	default:
 		e.pool.ll.MoveToFront(e.elem)
 	}
 }
 
 // Pin prevents eviction until a matching Unpin. Pins nest.
-func (e *Entry) Pin() { e.pins++ }
+func (e *Entry) Pin() {
+	e.pool.mu.Lock()
+	defer e.pool.mu.Unlock()
+	e.pins++
+}
 
-// Unpin releases one pin.
+// Unpin releases one pin. Dropping the last pin returns a parked entry to
+// the LRU list as most recently used.
 func (e *Entry) Unpin() {
+	e.pool.mu.Lock()
+	defer e.pool.mu.Unlock()
+	e.unpinLocked()
+}
+
+func (e *Entry) unpinLocked() {
 	if e.pins > 0 {
 		e.pins--
+		if e.pins == 0 && e.parked {
+			e.pool.unparkLocked(e)
+		}
 	}
 }
 
 // Pinned reports whether the entry is currently pinned.
-func (e *Entry) Pinned() bool { return e.pins > 0 }
+func (e *Entry) Pinned() bool {
+	e.pool.mu.Lock()
+	defer e.pool.mu.Unlock()
+	return e.pins > 0
+}
 
 // Resize adjusts the entry's accounted size (an object grew or shrank) and
 // enforces the budget.
 func (e *Entry) Resize(size int64) {
+	e.pool.mu.Lock()
+	defer e.pool.mu.Unlock()
 	if e.elem == nil {
 		return
 	}
 	e.pool.used += size - e.size
 	e.size = size
-	e.pool.Enforce()
+	e.pool.enforceLocked()
 }
 
 // Remove unregisters the entry without invoking its eviction callback (the
 // owner is dropping it voluntarily).
 func (e *Entry) Remove() {
+	e.pool.mu.Lock()
+	defer e.pool.mu.Unlock()
 	if e.elem == nil {
 		return
 	}
 	e.pool.used -= e.size
-	e.pool.ll.Remove(e.elem)
+	if e.parked {
+		e.pool.parked.Remove(e.elem)
+	} else {
+		e.pool.ll.Remove(e.elem)
+	}
 	e.elem = nil
+	e.parked = false
 }
 
 // Resident reports whether the entry is still registered.
-func (e *Entry) Resident() bool { return e.elem != nil }
+func (e *Entry) Resident() bool {
+	e.pool.mu.Lock()
+	defer e.pool.mu.Unlock()
+	return e.elem != nil
+}
 
-// enforceScanLimit bounds how many entries one enforcement pass examines.
-// When the pool is dominated by unevictable residents (pinned entries,
-// dirty map nodes), an unbounded walk would revisit every vetoing entry on
-// every Add — O(n²) overall. A bounded scan keeps Add O(1) amortized; the
-// pool temporarily exceeds its budget instead, which is the only sound
-// choice when residents cannot be dropped.
-const enforceScanLimit = 64
+// unparkLocked moves a parked entry to the front of the LRU list.
+func (p *Pool) unparkLocked(e *Entry) {
+	p.parked.Remove(e.elem)
+	e.elem = p.ll.PushFront(e)
+	e.parked = false
+}
+
+// Unpark returns every parked entry to the LRU list, behind all entries
+// already there: a parked entry was at the LRU end when it was parked and
+// has not been touched since, so it is older than anything on the list.
+// Owners call it after making vetoing entries evictable wholesale, then
+// Enforce to trim the pool back to its budget.
+func (p *Pool) Unpark() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for elem := p.parked.Front(); elem != nil; {
+		next := elem.Next()
+		e := elem.Value.(*Entry)
+		p.parked.Remove(elem)
+		e.elem = p.ll.PushBack(e)
+		e.parked = false
+		elem = next
+	}
+}
 
 // Enforce evicts least recently used, unpinned, non-vetoing entries until
-// the pool fits its budget, examining at most enforceScanLimit entries.
-// Vetoing entries are rotated to the front so successive passes do not
-// rescan the same unevictable tail.
+// the pool fits its budget. Entries that cannot be evicted are parked, so
+// the walk examines each resident at most once per park; when every
+// resident is parked the pool exceeds its budget, the only sound choice
+// when residents cannot be dropped.
 func (p *Pool) Enforce() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.enforceLocked()
+}
+
+func (p *Pool) enforceLocked() {
 	if p.budget <= 0 {
 		return
 	}
-	for examined := 0; examined < enforceScanLimit && p.used > p.budget; examined++ {
+	for p.used > p.budget {
 		elem := p.ll.Back()
 		if elem == nil {
 			return
 		}
 		e := elem.Value.(*Entry)
-		if !e.Pinned() && e.evict() {
+		evicted := e.pins == 0 && e.evict()
+		p.ll.Remove(elem)
+		if evicted {
 			p.used -= e.size
-			p.ll.Remove(elem)
 			e.elem = nil
 			continue
 		}
-		// Unevictable right now: move it out of the scan window. This
-		// perturbs strict LRU order for pinned/vetoing entries, which is
-		// fine — they were not eviction candidates anyway.
-		p.ll.MoveToFront(elem)
+		e.elem = p.parked.PushFront(e)
+		e.parked = true
 	}
 }

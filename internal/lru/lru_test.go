@@ -120,3 +120,147 @@ func TestPoolPinNesting(t *testing.T) {
 		t.Fatal("unpin underflow")
 	}
 }
+
+func TestPoolVetoCalledOncePerPark(t *testing.T) {
+	p := NewPool(10)
+	vetoes := 0
+	v := p.Add(8, func() bool { vetoes++; return false })
+	for i := 0; i < 20; i++ {
+		p.Add(8, func() bool { return true })
+	}
+	if vetoes != 1 {
+		t.Fatalf("veto callback ran %d times over 20 Adds, want 1 (parked after the first)", vetoes)
+	}
+	v.Touch() // back on the LRU list: the next pass may ask again
+	p.Add(8, func() bool { return true })
+	p.Add(8, func() bool { return true })
+	if vetoes != 2 {
+		t.Fatalf("veto callback ran %d times after Touch, want 2", vetoes)
+	}
+}
+
+func TestPoolParkedEntriesReturn(t *testing.T) {
+	p := NewPool(10)
+	veto := true
+	mk := func() *Entry { return p.Add(8, func() bool { return !veto }) }
+
+	touched := mk()
+	p.Add(8, func() bool { return true }) // parks touched, stays over budget
+	if !touched.parked || p.Len() != 2 || p.Used() != 16 {
+		t.Fatalf("parked %v, len %d, used %d; want parked, 2 and 16 (parked entries count)",
+			touched.parked, p.Len(), p.Used())
+	}
+	touched.Touch()
+	if touched.parked || p.ll.Front().Value != touched {
+		t.Fatal("Touch did not return the parked entry as most recently used")
+	}
+
+	p = NewPool(10)
+	pinned := p.Add(8, func() bool { return true })
+	pinned.Pin()
+	p.Add(8, func() bool { return true }) // parks pinned
+	if !pinned.parked {
+		t.Fatal("pinned entry not parked")
+	}
+	pinned.Pin()
+	pinned.Unpin()
+	if !pinned.parked {
+		t.Fatal("an inner Unpin returned the entry while still pinned")
+	}
+	pinned.Unpin()
+	if pinned.parked || p.ll.Front().Value != pinned {
+		t.Fatal("last Unpin did not return the parked entry as most recently used")
+	}
+
+	p = NewPool(10)
+	veto = true
+	a, b := mk(), mk()
+	if !a.parked || p.Len() != 2 {
+		t.Fatalf("a parked %v, len %d; want parked and 2", a.parked, p.Len())
+	}
+	veto = false
+	p.Enforce() // b alone is on the LRU list; it goes, a stays parked
+	if !a.Resident() || b.Resident() {
+		t.Fatalf("a resident %v, b resident %v; want only the parked entry left", a.Resident(), b.Resident())
+	}
+	p.Add(8, func() bool { return true })
+	if !a.Resident() {
+		t.Fatal("parked entry evicted without Unpark")
+	}
+	p.Unpark()
+	if a.parked || p.ll.Back().Value != a {
+		t.Fatal("Unpark did not return the entry behind the LRU list")
+	}
+	p.Enforce()
+	if a.Resident() {
+		t.Fatal("unparked entry not evicted first")
+	}
+}
+
+func TestPoolUnparkRestoresBudget(t *testing.T) {
+	// Owners that veto while dirty (map nodes before a checkpoint) push the
+	// pool over budget; once clean, Unpark and Enforce bring it back.
+	p := NewPool(100)
+	dirty := true
+	var entries []*Entry
+	for i := 0; i < 30; i++ {
+		entries = append(entries, p.Add(10, func() bool { return !dirty }))
+	}
+	if p.Used() != 300 {
+		t.Fatalf("used %d, want 300 while every entry vetoes", p.Used())
+	}
+	dirty = false
+	p.Unpark()
+	p.Enforce()
+	if p.Used() > p.Budget() {
+		t.Fatalf("used %d exceeds budget %d after Unpark+Enforce", p.Used(), p.Budget())
+	}
+	if !entries[len(entries)-1].Resident() {
+		t.Fatal("most recently added entry evicted before older ones")
+	}
+}
+
+func TestPoolConcurrentOwners(t *testing.T) {
+	// Two owners on different goroutines share one pool, as the object
+	// store and the chunk store do under their separate mutexes. Run
+	// under -race; afterwards the accounting must match the residents.
+	p := NewPool(1 << 10)
+	kept := make([][]*Entry, 2)
+	done := make(chan struct{})
+	owner := func(id int, veto bool) {
+		defer func() { done <- struct{}{} }()
+		var mine []*Entry
+		for i := 0; i < 2000; i++ {
+			e := p.Add(64, func() bool { return !veto })
+			e.Pin()
+			e.Touch()
+			e.Resize(32)
+			e.Unpin()
+			mine = append(mine, e)
+			if i%100 == 99 {
+				p.Unpark()
+				p.Enforce()
+				for _, old := range mine[:50] {
+					old.Remove()
+				}
+				mine = mine[50:]
+			}
+		}
+		kept[id] = mine
+	}
+	go owner(0, false)
+	go owner(1, true)
+	<-done
+	<-done
+	resident := 0
+	for _, mine := range kept {
+		for _, e := range mine {
+			if e.Resident() {
+				resident++
+			}
+		}
+	}
+	if p.Len() != resident || p.Used() != int64(32*resident) {
+		t.Fatalf("len %d used %d, want %d entries of 32 bytes", p.Len(), p.Used(), resident)
+	}
+}
