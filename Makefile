@@ -14,8 +14,11 @@ WRITEBEHIND ?= on off
 # make chaos CHAOS_ACTIONS=20000 CHAOS_SEED=$$RANDOM
 CHAOS_SEED ?= 42
 CHAOS_ACTIONS ?= 500
+# FUZZTIME bounds the native Go fuzz run over the record decoder and the
+# shared write-record validator (make fuzz FUZZTIME=1m for a longer run).
+FUZZTIME ?= 10s
 
-.PHONY: build test check faults lint bench bench-smoke bench-read-scaling bench-scan chaos
+.PHONY: build test check faults lint fuzz bench bench-smoke bench-read-scaling bench-scan chaos
 
 build:
 	$(GO) build ./...
@@ -55,12 +58,21 @@ chaos:
 			-args -chaos.seed=$(CHAOS_SEED) -chaos.actions=$(CHAOS_ACTIONS) || exit 1; \
 	done
 
+# fuzz runs the native Go fuzz target over the bytes every read path trusts
+# least: the record decoder (parseRecordBytes) and the shared write-record
+# validator (writeRecordCiphertext), seeded with records a real store wrote.
+# Neither may panic, and every rejection must match ErrTampered. A failing
+# input is saved under internal/chunkstore/testdata/fuzz/ and replays as a
+# plain test from then on.
+fuzz:
+	$(GO) test ./internal/chunkstore/ -run XXX -fuzz '^FuzzWriteRecord$$' -fuzztime $(FUZZTIME)
+
 # check is the pre-merge gate: the fault-injection suite, the chaos oracle,
-# vet, the trust-invariant analyzers, the full suite under the race
-# detector (the chunk store's commit pipeline and read cache are
-# concurrent), and a one-shot pass over every benchmark so the perf harness
-# can't silently rot.
-check: faults chaos
+# the record fuzzer, vet, the trust-invariant analyzers, the full suite
+# under the race detector (the chunk store's commit pipeline and read cache
+# are concurrent), and a one-shot pass over every benchmark so the perf
+# harness can't silently rot.
+check: faults chaos fuzz
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...

@@ -22,7 +22,8 @@ import (
 // *Locked name vouches for running under that package's own mutex, not the
 // caller's. The MVCC snapshot read path is why this matters — resolving a
 // version under versionTable.mu must never fall back into the chunk store
-// (whose Read funnels into readLocked and from there to platform I/O);
+// (whose Read reaches platform I/O off-mutex and through its readLocked
+// slow path);
 // lock-held chains that cross a package boundary are therefore walked
 // through the callee package's serialization points down to the sink.
 //

@@ -136,9 +136,10 @@ type Stats struct {
 	ReadCacheHits   int64
 	ReadCacheMisses int64
 	ReadCacheShards int
-	// ReadSlowPaths counts cache-miss reads that fell back to the
-	// exclusive-lock read path instead of completing off-mutex (map node
-	// not resident, or repeated relocation races mid-read).
+	// ReadSlowPaths counts chunks, not calls: each chunk a Read or
+	// ReadBatch resolved on the exclusive-lock slow path instead of
+	// off-mutex (map node not resident, or the retry budget exhausted by
+	// relocation races mid-read).
 	ReadSlowPaths int64
 	// CoalescedReads counts batch segment reads that merged two or more
 	// physically adjacent records into a single ReadAt; CoalescedChunks is

@@ -1,10 +1,6 @@
 package chunkstore
 
-import (
-	"fmt"
-
-	"tdb/internal/sec"
-)
+import "fmt"
 
 // The log cleaner (paper §3.2.1). Obsolete chunk versions accumulate in old
 // segments as chunks are rewritten; the cleaner copies the still-live
@@ -268,9 +264,9 @@ func (s *Store) evacuate(seg *segment) error {
 		}
 		switch typ {
 		case recWrite:
-			cid, ciphertext, err := parseWriteRecord(body)
+			cid, _, err := parseWriteRecord(body)
 			if err != nil {
-				return false, fmt.Errorf("%w: %v", ErrTampered, err)
+				return false, err
 			}
 			cur, err := s.lm.get(cid)
 			if err != nil {
@@ -279,8 +275,8 @@ func (s *Store) evacuate(seg *segment) error {
 			if cur.loc != loc {
 				return true, nil // obsolete version
 			}
-			if !sec.HashEqual(s.suite.Hash(ciphertext), cur.hash) {
-				return false, fmt.Errorf("%w: chunk %d fails validation during cleaning", ErrTampered, cid)
+			if _, err := s.writeRecordCiphertext(cid, cur, typ, body); err != nil {
+				return false, err
 			}
 			// Copy the record verbatim: the ciphertext (and thus the hash)
 			// is unchanged, only the location moves.
@@ -387,18 +383,11 @@ func (s *Store) evacuateDamaged(seg *segment) error {
 		return err
 	}
 	for _, c := range chunks {
-		typ, body, err := s.segs.readRecord(c.e.loc)
+		ciphertext, err := s.readCipherAtLocked(c.cid, c.e)
 		if err != nil {
 			return err
 		}
-		cid, ciphertext, perr := parseWriteRecord(body)
-		if typ != recWrite || perr != nil || cid != c.cid {
-			return fmt.Errorf("%w: chunk %d record unreadable during cleaning", ErrTampered, c.cid)
-		}
-		if !sec.HashEqual(s.suite.Hash(ciphertext), c.e.hash) {
-			return fmt.Errorf("%w: chunk %d fails validation during cleaning", ErrTampered, c.cid)
-		}
-		rec := encodeRecord(recWrite, body)
+		rec := encodeRecord(recWrite, writeRecordBody(c.cid, ciphertext))
 		newLoc, err := s.segs.append(rec, s.cfg.SegmentSize)
 		if err != nil {
 			return err

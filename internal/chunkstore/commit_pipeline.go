@@ -318,7 +318,7 @@ func (s *Store) commitPreparedLocked(b *Batch, prep []preparedOp, durable, defer
 		s.flights.invalidate(op.cid)
 		switch op.kind {
 		case opWrite, opRestore:
-			s.rcache.put(op.cid, prep[i].hash, op.data)
+			s.rcache.put(op.cid, prep[i].hash, op.data, false)
 			// A committed rewrite replaces the chunk's stored bytes, so any
 			// quarantine on the old, damaged version no longer applies.
 			delete(s.quarantine, op.cid)

@@ -3,8 +3,10 @@ package chunkstore
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 )
 
 // TestReadBatchCoalescesAdjacentRecords writes one multi-chunk batch — whose
@@ -160,15 +162,17 @@ func TestReadBatchRetryOnCleanerRelocation(t *testing.T) {
 			for i, cid := range victims {
 				res[i].CID = cid
 			}
-			plans, planIdxs, slow := s.planBatch([]int{0, 1}, res)
+			pending := []readSlot{{idx: 0}, {idx: 1}}
+			var slow []int
+			plans := s.planRound(res, pending, &slow, true)
 			if len(plans) != 2 || len(slow) != 0 {
-				t.Fatalf("planBatch: %d plans, %d slow; want 2, 0", len(plans), len(slow))
+				t.Fatalf("planRound: %d plans, %d slow; want 2, 0", len(plans), len(slow))
 			}
-			tasks := coalescePlans(plans, planIdxs)
+			tasks := coalescePlans(plans)
 			if len(tasks) != 1 {
 				t.Fatalf("coalescePlans: %d tasks, want the victims merged into 1", len(tasks))
 			}
-			a, z := tasks[0].plans[0].e.loc, tasks[0].plans[1].e.loc
+			a, z := tasks[0][0].e.loc, tasks[0][1].e.loc
 			if gap := z.Off - (a.Off + a.Len); (gap > 0) != tc.gapped {
 				t.Fatalf("gap between victims = %d bytes, gapped = %v", gap, tc.gapped)
 			}
@@ -177,16 +181,34 @@ func TestReadBatchRetryOnCleanerRelocation(t *testing.T) {
 				t.Fatalf("Clean: %v", err)
 			}
 
-			s.runBatchTasks(tasks, res)
+			// Every plan fails revalidation: it abandons its flight, releases
+			// its segment pin, publishes nothing, and leaves its chunk for
+			// the next round.
+			s.runPlans(plans)
+			for i, p := range plans {
+				if !p.stale {
+					t.Fatalf("plan %d accepted a relocated snapshot", i)
+				}
+				if got := p.seg.readers.Load(); got != 0 {
+					t.Fatalf("segment pin count = %d after the round, want 0", got)
+				}
+				if _, ok := s.rcache.get(p.cid); ok {
+					t.Fatalf("stale read of chunk %d was published to the read cache", p.cid)
+				}
+			}
+			if pending = s.settleRound(res, pending, true); len(pending) != 2 {
+				t.Fatalf("%d chunks left for the next round, want 2", len(pending))
+			}
+
+			// The next round lands on the relocated records.
+			s.runPlans(s.planRound(res, pending, &slow, true))
+			if pending = s.settleRound(res, pending, true); len(pending) != 0 || len(slow) != 0 {
+				t.Fatalf("second round left %d pending, %d slow", len(pending), len(slow))
+			}
 			for i, r := range res {
 				want := bytes.Repeat([]byte{'V', byte(i)}, 128)
 				if r.Err != nil || !bytes.Equal(r.Data, want) {
 					t.Fatalf("res[%d] after relocation: %q, %v", i, r.Data, r.Err)
-				}
-			}
-			for _, p := range plans {
-				if got := p.seg.readers.Load(); got != 0 {
-					t.Fatalf("segment pin count = %d after batch, want 0", got)
 				}
 			}
 		})
@@ -214,45 +236,72 @@ func TestReadBatchInlineWorker(t *testing.T) {
 	}
 }
 
-// TestReadBatchSkipsChunksAlreadyInFlight pins the dedupe contract: a chunk
-// some other reader is already fetching is skipped by the batch (nil data,
-// nil error — the concurrent reader will publish it), while the rest of the
-// batch proceeds, and the batch's own flights are released so later readers
-// are not blocked.
-func TestReadBatchSkipsChunksAlreadyInFlight(t *testing.T) {
-	env := newTestEnv(t, "aes-sha256")
-	s := env.open(t)
-	defer s.Close()
+// TestReadBatchFollowsChunksAlreadyInFlight pins the follow contract: a
+// chunk some other reader is already fetching is followed by the batch,
+// which gets the leader's value when the leader completes and re-reads from
+// storage when it abandons. By the deadlock rule the batch releases its own
+// flights before it waits on the one it joined, and none survive the batch.
+func TestReadBatchFollowsChunksAlreadyInFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		abandon bool
+		want    string
+	}{{"complete", false, "leader's value"}, {"abandon", true, "busy"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newTestEnv(t, "aes-sha256")
+			s := env.open(t)
+			defer s.Close()
 
-	busy := allocWrite(t, s, []byte("busy"))
-	free := allocWrite(t, s, []byte("free"))
-	s.rcache.purge()
+			free := allocWrite(t, s, []byte("free"))
+			busy := allocWrite(t, s, []byte("busy"))
+			s.rcache.purge()
 
-	// Simulate a concurrent reader mid-fetch of busy.
-	f := s.flights.tryClaim(busy)
-	if f == nil {
-		t.Fatal("tryClaim(busy) failed with no reader active")
-	}
+			// The test leads busy's flight, standing in for a concurrent
+			// reader mid-fetch.
+			lead, _ := s.flights.claim(busy)
+			if lead == nil {
+				t.Fatal("claim(busy) found a flight with no reader active")
+			}
+			done := make(chan []BatchRead, 1)
+			go func() { done <- s.ReadBatch([]ChunkID{free, busy}) }()
+			waitForJoiners(t, s, busy, &lead.flight, 1)
 
-	res := s.ReadBatch([]ChunkID{busy, free})
-	if res[0].Data != nil || res[0].Err != nil {
-		t.Fatalf("in-flight chunk not skipped: %q, %v", res[0].Data, res[0].Err)
-	}
-	if res[1].Err != nil || !bytes.Equal(res[1].Data, []byte("free")) {
-		t.Fatalf("free chunk: %q, %v", res[1].Data, res[1].Err)
-	}
+			// The batch claimed free before joining busy; it must release
+			// free's flight while the test still holds busy's.
+			sh := s.flights.shard(free)
+			for deadline := time.Now().Add(time.Minute); ; {
+				sh.mu.Lock()
+				airborne := sh.m[free] != nil
+				sh.mu.Unlock()
+				if !airborne {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the batch waits on busy's flight while still leading free's")
+				}
+				runtime.Gosched()
+			}
 
-	// The batch released its claim on free: a fresh claim must succeed.
-	if f2 := s.flights.tryClaim(free); f2 == nil {
-		t.Fatal("free's flight still registered after the batch completed")
-	} else {
-		s.flights.abandon(free, f2)
-	}
-
-	// Once the simulated reader abandons, busy is readable point-wise.
-	s.flights.abandon(busy, f)
-	if data, err := s.Read(busy); err != nil || !bytes.Equal(data, []byte("busy")) {
-		t.Fatalf("Read(busy) after abandon: %q, %v", data, err)
+			if tc.abandon {
+				s.flights.abandon(busy, &lead.flight)
+			} else {
+				s.flights.complete(busy, &lead.flight, []byte(tc.want), nil)
+			}
+			res := <-done
+			if res[0].Err != nil || string(res[0].Data) != "free" {
+				t.Fatalf("free chunk: %q, %v", res[0].Data, res[0].Err)
+			}
+			if res[1].Err != nil || string(res[1].Data) != tc.want {
+				t.Fatalf("followed chunk: %q, %v; want %q", res[1].Data, res[1].Err, tc.want)
+			}
+			for _, cid := range []ChunkID{free, busy} {
+				probe, _ := s.flights.claim(cid)
+				if probe == nil {
+					t.Fatalf("chunk %d's flight still registered after the batch", cid)
+				}
+				s.flights.abandon(cid, &probe.flight)
+			}
+		})
 	}
 }
 
@@ -362,8 +411,8 @@ func TestReadBatchCoalescesAcrossHoles(t *testing.T) {
 
 // TestCoalescePlansRules pins the merge rule on synthetic plans: records in
 // one segment merge across holes up to coalesceGap, never across a larger
-// hole, a segment boundary, a span past coalesceMax, or a record still in
-// the write-behind buffer.
+// hole, a segment boundary, a span past coalesceMax, a record still in the
+// write-behind buffer, or a plan without a segment.
 func TestCoalescePlansRules(t *testing.T) {
 	segA, segB := &segment{}, &segment{}
 	plan := func(seg *segment, num uint64, off, n uint32) *readPlan {
@@ -394,6 +443,8 @@ func TestCoalescePlansRules(t *testing.T) {
 			}
 			return ps
 		}(), []int{coalesceMax / coalesceGap, 1}},
+		// A plan that found damage while planning has no segment.
+		{"damaged-member", []*readPlan{plan(segA, 1, 0, 0), plan(nil, 1, rec, 0)}, []int{1, 1}},
 		{"write-behind-member", []*readPlan{plan(segA, 1, 0, rec), func() *readPlan {
 			p := plan(segA, 1, rec, rec)
 			p.fromFile = rec / 2
@@ -401,19 +452,12 @@ func TestCoalescePlansRules(t *testing.T) {
 		}()}, []int{1, 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			idxs := make([]int, len(tc.plans))
-			for i := range idxs {
-				idxs[i] = i
-			}
-			tasks := coalescePlans(tc.plans, idxs)
+			tasks := coalescePlans(tc.plans)
 			var got []int
 			for _, task := range tasks {
-				got = append(got, len(task.plans))
-				for i, p := range task.plans {
-					if p != tc.plans[task.idxs[i]] {
-						t.Fatalf("task idxs do not follow its plans")
-					}
-					if i > 0 && planCompare(task.plans[i-1], p) >= 0 {
+				got = append(got, len(task))
+				for i, p := range task {
+					if i > 0 && planCompare(task[i-1], p) >= 0 {
 						t.Fatalf("task plans out of (segment, offset) order")
 					}
 				}

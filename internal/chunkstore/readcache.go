@@ -152,16 +152,11 @@ func (rc *readCache) get(cid ChunkID) ([]byte, bool) {
 }
 
 // put records plain as the current validated content of cid. The slice is
-// copied; callers keep ownership of their buffer.
-func (rc *readCache) put(cid ChunkID, hash []byte, plain []byte) {
-	rc.putTagged(cid, hash, plain, false)
-}
-
-// putTagged is put with provenance: prefetched entries carry a flag the
-// hit/wasted telemetry consumes (see rcEntry.prefetched). A point read
-// publishing content that is already resident leaves any existing flag
-// alone — the upcoming consumption will claim it.
-func (rc *readCache) putTagged(cid ChunkID, hash []byte, plain []byte, prefetched bool) {
+// copied; callers keep ownership of their buffer. prefetched marks entries
+// the batch prefetch path published, for the hit/wasted telemetry (see
+// rcEntry.prefetched); publishing content that is already resident leaves
+// any existing flag alone — the upcoming consumption will claim it.
+func (rc *readCache) put(cid ChunkID, hash []byte, plain []byte, prefetched bool) {
 	if rc == nil {
 		return
 	}

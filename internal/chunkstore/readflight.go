@@ -2,44 +2,52 @@ package chunkstore
 
 import "sync"
 
-// Per-chunk singleflight for cache-miss reads. A Zipfian hot key that is not
-// (yet) in the read cache draws many concurrent readers; without coalescing,
-// each of them pays the full segment read, hash validation, and decryption
-// for the same bytes. readFlights lets the first reader (the leader) do that
-// work once while followers wait on its result.
+// Per-chunk singleflight for cache-miss reads: a hot key, or a window N
+// scanners sweep in convoy, pays one segment read, hash validation and
+// decryption instead of one per reader. A reader that misses the cache
+// claims the chunk's flight: it leads a new one, which it must release with
+// complete or abandon, or joins the one in progress and later waits on it.
+//
+// Deadlock rule: a reader completes or abandons every flight it claimed
+// before it waits on any flight it joined; two batches [x,y] and [y,x]
+// would otherwise each lead one chunk while waiting on the other's. The
+// read loop's round structure enforces it (read.go: runPlans returns only
+// after every claimed plan has released its flight, and settleRound waits).
 //
 // Coherence: a flight's value is computed against the location-map state the
 // leader revalidated (see finishRead). A commit that rewrites or deallocates
 // the chunk while the flight is in progress marks it stale — from inside
-// commitPreparedLocked, before Commit returns — and stale followers retry
+// commitPreparedLocked, before Commit returns — and stale joiners retry
 // against the read cache, where the same commit's write-through already
 // published the new value. The mutex handoff gives the happens-before chain:
 // a staling commit finds the flight registered and writes stale under the
 // shard mutex; the leader's removal of the flight takes the same mutex and
-// precedes close(done), which every follower's read of stale synchronizes
-// with. A commit that runs after the leader removed the flight cannot stale
-// it, and does not need to: any follower of that flight joined before the
-// removal, so its read overlaps the leader's (pre-commit) linearization
-// point.
+// precedes done.Done, which every joiner's read of stale synchronizes with.
+// A commit that runs after the leader removed the flight cannot stale it,
+// and does not need to: any joiner of that flight joined before the removal,
+// so its read overlaps the leader's (pre-commit) linearization point.
 //
-// Lock order: Store.mu → flightShard.mu (the commit path stales flights
-// under the store mutex). Leaders never hold a shard mutex while reading —
-// do releases it before invoking fn.
+// Lock order: Store.mu → flightShard.mu (the read loop claims flights and
+// the commit path stales them under the store mutex). No one waits on a
+// flight while holding either mutex.
 
 // flightShardCount spreads flight registration across independent mutexes so
 // misses on distinct chunks do not contend. Power of two for cheap masking.
 const flightShardCount = 16
 
-// readFlight is one in-progress cache-miss read.
+// readFlight is one in-progress cache-miss read, embedded in its leader's
+// readPlan.
 type readFlight struct {
-	done chan struct{}
+	// done holds one count from claim until the leader releases the flight.
+	done sync.WaitGroup
 	data []byte
 	err  error
 	// stale is set by a commit that rewrote or deallocated the chunk while
-	// the flight was in progress; followers observing it must retry.
+	// the flight was in progress, or by a leader abandoning it; joiners
+	// observing it must retry.
 	stale bool
-	// waiters counts followers that joined the flight. Guarded by the
-	// shard mutex; observable, so tests can sequence a join precisely.
+	// waiters counts readers that joined the flight. Guarded by the shard
+	// mutex; observable, so tests can sequence a join precisely.
 	waiters int
 }
 
@@ -64,82 +72,50 @@ func (rf *readFlights) shard(cid ChunkID) *flightShard {
 	return &rf.shards[mix64(uint64(cid))&(flightShardCount-1)]
 }
 
-// do coalesces concurrent calls for the same cid: the first caller runs fn,
-// later callers wait and share its result. stale reports that a commit
-// superseded the flight's value mid-read; the caller must re-check the read
-// cache and retry. Followers receive a private copy of the data, matching
-// the ownership contract of Read.
-func (rf *readFlights) do(cid ChunkID, fn func() ([]byte, error)) (data []byte, err error, stale bool) {
-	sh := rf.shard(cid)
-	sh.mu.Lock()
-	if f := sh.m[cid]; f != nil {
-		f.waiters++
-		sh.mu.Unlock()
-		<-f.done
-		if f.stale {
-			return nil, nil, true
-		}
-		if f.data != nil {
-			data = append([]byte(nil), f.data...)
-		}
-		return data, f.err, false
-	}
-	f := &readFlight{done: make(chan struct{})}
-	sh.m[cid] = f
-	sh.mu.Unlock()
-
-	f.data, f.err = fn()
-
-	sh.mu.Lock()
-	delete(sh.m, cid)
-	sh.mu.Unlock()
-	close(f.done)
-	// The leader's own result is never stale for the leader: readMiss
-	// revalidated it against the location map at its linearization point.
-	return f.data, f.err, false
-}
-
-// tryClaim registers a flight for cid unless one is already in progress,
-// without blocking. Batch reads use it to dedupe against concurrent readers:
-// a successful claim makes this caller the leader (point readers joining via
-// do become its followers), while a failed claim means another reader — a
-// point read or another batch — is already fetching the chunk and will
-// publish it, so a prefetch can simply skip it. A claimed flight must be
-// released with complete or abandon.
-func (rf *readFlights) tryClaim(cid ChunkID) *readFlight {
+// claim takes cid's flight for a reader that missed the read cache. If
+// another reader has a flight in progress, claim joins it and returns it;
+// the caller may wait on it once it holds no claims. Otherwise claim
+// registers the flight of a new plan and returns the plan: its reader leads
+// the flight and must release it with complete or abandon.
+func (rf *readFlights) claim(cid ChunkID) (lead *readPlan, joined *readFlight) {
 	sh := rf.shard(cid)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.m[cid] != nil {
-		return nil
+	if f := sh.m[cid]; f != nil {
+		f.waiters++
+		return nil, f
 	}
-	f := &readFlight{done: make(chan struct{})}
-	sh.m[cid] = f
-	return f
+	p := &readPlan{cid: cid}
+	p.flight.done.Add(1)
+	sh.m[cid] = &p.flight
+	return p, nil
 }
 
-// complete publishes a claimed flight's result and releases it, waking
-// followers with the same result the leader computed.
+// complete publishes a claimed flight's result and releases it. The leader
+// keeps data; joiners copy a private clone of it, so no caller's slice is
+// shared with another.
 func (rf *readFlights) complete(cid ChunkID, f *readFlight, data []byte, err error) {
-	f.data, f.err = data, err
 	sh := rf.shard(cid)
 	sh.mu.Lock()
 	delete(sh.m, cid)
+	joined := f.waiters > 0
 	sh.mu.Unlock()
-	close(f.done)
+	if joined {
+		data = append([]byte(nil), data...)
+	}
+	f.data, f.err = data, err
+	f.done.Done()
 }
 
-// abandon releases a claimed flight without a result: followers observe
-// stale and retry against the read cache, exactly as after a superseding
-// commit. Batch reads abandon before falling back to the point-read path,
-// which would otherwise deadlock following its own flight.
+// abandon releases a claimed flight without a result: joiners observe stale
+// and retry, exactly as after a superseding commit.
 func (rf *readFlights) abandon(cid ChunkID, f *readFlight) {
 	sh := rf.shard(cid)
 	sh.mu.Lock()
 	f.stale = true
 	delete(sh.m, cid)
 	sh.mu.Unlock()
-	close(f.done)
+	f.done.Done()
 }
 
 // invalidate marks any in-flight read of cid stale. Called from the commit
@@ -152,6 +128,17 @@ func (rf *readFlights) invalidate(cid ChunkID) {
 		f.stale = true
 	}
 	sh.mu.Unlock()
+}
+
+// wait blocks until a joined flight is released and returns a private copy
+// of its result. stale reports that the result must not be used: a commit
+// superseded it mid-read, or its leader abandoned it.
+func (f *readFlight) wait() (data []byte, err error, stale bool) {
+	f.done.Wait()
+	if f.stale {
+		return nil, nil, true
+	}
+	return append([]byte(nil), f.data...), f.err, false
 }
 
 // mix64 is the splitmix64 finalizer, spreading sequential chunk ids across

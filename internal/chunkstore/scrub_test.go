@@ -10,7 +10,7 @@ import (
 )
 
 // chunkLoc looks up the stored location and expected hash of a chunk.
-func chunkLoc(t *testing.T, s *Store, cid ChunkID) entry {
+func chunkLoc(t testing.TB, s *Store, cid ChunkID) entry {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()

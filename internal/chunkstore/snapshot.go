@@ -93,29 +93,6 @@ func (sn *Snapshot) ForEach(fn func(cid ChunkID, hash []byte, ciphertext []byte)
 	})
 }
 
-// readCipherAtLocked fetches and validates the stored ciphertext of a chunk
-// version without decrypting it.
-func (s *Store) readCipherAtLocked(cid ChunkID, e entry) ([]byte, error) {
-	typ, body, err := s.segs.readRecord(e.loc)
-	if err != nil {
-		return nil, err
-	}
-	if typ != recWrite {
-		return nil, fmt.Errorf("%w: chunk %d record at %v has type %d", ErrTampered, cid, e.loc, typ)
-	}
-	gotCid, ciphertext, err := parseWriteRecord(body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
-	}
-	if gotCid != cid {
-		return nil, fmt.Errorf("%w: record at %v names chunk %d, want %d", ErrTampered, e.loc, gotCid, cid)
-	}
-	if !sec.HashEqual(s.suite.Hash(ciphertext), e.hash) {
-		return nil, fmt.Errorf("%w: chunk %d fails hash validation", ErrTampered, cid)
-	}
-	return ciphertext, nil
-}
-
 // DiffChange describes one difference between two snapshots.
 type DiffChange struct {
 	CID ChunkID

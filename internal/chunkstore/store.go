@@ -14,12 +14,15 @@ import (
 // methods are safe for concurrent use. Commits run a two-stage pipeline:
 // payload encryption and hashing execute outside the state mutex, fanned
 // out across CPUs, and only log appends plus the staged in-memory merge
-// serialize under the mutex (see commit_pipeline.go). Reads of cached,
-// already-validated chunks bypass the state mutex entirely through the
-// read cache (see readcache.go); cache misses snapshot the chunk's map
-// entry under a short shared-lock section and run the segment I/O, hash
-// validation, and decryption with no lock held, revalidating the snapshot
-// before publishing (see Read and DESIGN.md §7.7).
+// serialize under the mutex (see commit_pipeline.go). Reads run one
+// protocol (read.go): Read is a one-element ReadBatch. Cached,
+// already-validated chunks bypass the state mutex entirely through the read
+// cache (readcache.go); cache misses join or lead a per-chunk flight,
+// snapshot their map entries under one short shared-lock section, and run
+// the segment I/O, hash validation, and decryption with no lock held,
+// revalidating the snapshot before publishing (DESIGN.md §7.7). Only a
+// non-resident map node or an exhausted retry budget takes the
+// exclusive-lock slow path.
 type Store struct {
 	mu  sync.RWMutex
 	cfg Config
@@ -33,28 +36,29 @@ type Store struct {
 	// is created at Open and never reassigned, so it may be dereferenced
 	// without holding mu. Nil when disabled.
 	rcache *readCache
-	// flights coalesces concurrent cache-miss reads of the same chunk so a
-	// hot-key storm pays one segment read + validation + decrypt instead of
-	// one per reader. Created at Open and never reassigned. The commit path
+	// flights coalesces concurrent cache-miss reads of the same chunk —
+	// point reads and batches alike — so a hot-key storm or a convoy of
+	// scanners pays one segment read + validation + decrypt instead of one
+	// per reader. Created at Open and never reassigned. The commit path
 	// marks in-flight reads of rewritten or deallocated chunks stale (see
 	// readflight.go).
 	flights *readFlights
 	// locEpoch counts exclusive-lock publications that can move or replace
 	// a committed chunk record: sealed commits and cleaner relocations, both
 	// bumped while holding mu exclusively. Off-mutex reads snapshot it in
-	// planRead and revalidate in finishRead; an unchanged epoch proves the
-	// snapshot's (loc, hash) still describes the chunk's current version.
+	// planReadLocked and revalidate in finishRead; an unchanged epoch proves
+	// the snapshot's (loc, hash) still describes the chunk's current version.
 	locEpoch atomic.Uint64
-	// readSlow counts cache-miss reads that fell back to the exclusive-lock
-	// read path (map node not resident in memory, or repeated relocation
-	// races). The happy path never touches the exclusive lock; tests assert
-	// this stays zero for warm-map workloads.
+	// readSlow counts chunks that took the exclusive-lock slow path (map
+	// node not resident in memory, or the retry budget exhausted by
+	// relocation races). The happy path never touches the exclusive lock;
+	// tests assert this stays zero for warm-map workloads.
 	readSlow atomic.Int64
 	// coalescedReads counts batch segment reads that merged two or more
 	// physically adjacent records into one ReadAt; coalescedChunks counts the
 	// records those merged reads delivered. prefetchedChunks counts chunks
 	// the batch read path fetched and validated on behalf of a prefetch hint
-	// (see readbatch.go).
+	// (see read.go).
 	coalescedReads   atomic.Int64
 	coalescedChunks  atomic.Int64
 	prefetchedChunks atomic.Int64
@@ -410,321 +414,6 @@ func (s *Store) Release(cid ChunkID) error {
 	}
 	s.alloc.release(cid)
 	return nil
-}
-
-// Read returns the last committed state of cid (paper Figure 2). It signals
-// ErrNotWritten for ids without committed state and ErrTampered if the
-// stored chunk fails validation against the Merkle tree.
-//
-// Reads of chunks whose validated plaintext is resident in the read cache
-// complete without taking the state mutex at all. Cache misses coalesce
-// per chunk (one reader does the work, concurrent readers of the same
-// chunk share its result) and run the segment I/O, hash validation, and
-// decryption with no lock held: only a short shared-lock section snapshots
-// the chunk's map entry beforehand and revalidates it afterwards, so
-// misses proceed concurrently with each other and exclusive sections stay
-// short. Reads fall back to the exclusive-lock path only when the map node
-// holding the entry is not resident in memory.
-func (s *Store) Read(cid ChunkID) ([]byte, error) {
-	for {
-		if data, ok := s.rcache.get(cid); ok {
-			return data, nil
-		}
-		data, err, stale := s.flights.do(cid, func() ([]byte, error) {
-			return s.readMiss(cid)
-		})
-		if stale {
-			// A commit rewrote or deallocated the chunk while the shared
-			// flight was in progress; its write-through already published
-			// the new state, so re-check the cache and retry.
-			continue
-		}
-		return data, err
-	}
-}
-
-// readMissRetries bounds how often a cache-miss read retries after losing a
-// race with the cleaner or a commit before it gives up and serializes under
-// the exclusive lock. Losing twice in a row already requires back-to-back
-// relocations of the same chunk mid-read.
-const readMissRetries = 4
-
-// readMiss performs one cache-miss read: snapshot under the shared lock,
-// fetch + validate + decrypt with no lock held, revalidate and publish under
-// the shared lock. It retries when a relocation invalidated the snapshot
-// mid-read and falls back to the exclusive-lock path when the map entry is
-// not resident or the retry budget is exhausted.
-func (s *Store) readMiss(cid ChunkID) ([]byte, error) {
-	for attempt := 0; attempt < readMissRetries; attempt++ {
-		p, err := s.planRead(cid)
-		if err != nil {
-			if p == nil {
-				return nil, err
-			}
-			// Planning itself detected per-chunk damage (dangling segment
-			// reference, out-of-bounds record). Revalidate under the
-			// exclusive lock and quarantine, exactly as a locked read would.
-			if err, done := s.failTamperedRead(cid, p.e, err); done {
-				return nil, err
-			}
-			continue
-		}
-		if p == nil {
-			// Map node not resident: reading it requires I/O and LRU
-			// mutation, which belong under the exclusive lock.
-			break
-		}
-		plain, rerr := s.executeRead(p)
-		data, err, done := s.finishRead(p, plain, rerr)
-		if done {
-			return data, err
-		}
-	}
-	s.readSlow.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readLocked(cid)
-}
-
-// readPlan is the shared-lock snapshot one cache-miss read validates
-// against: the chunk's map entry, its pinned segment, the epoch stamp, and
-// a buffer pre-filled with any record bytes still in the write-behind
-// buffer (those may be trimmed after the lock is released; flushed bytes
-// below the buffer are immutable once published).
-type readPlan struct {
-	cid  ChunkID
-	e    entry
-	seg  *segment
-	buf  []byte
-	// fromFile is the prefix of buf the off-lock step must read from the
-	// segment file; buf[fromFile:] was copied from the write-behind buffer
-	// under the lock.
-	fromFile int64
-	stamp    uint64
-	// prefetch marks a plan issued on behalf of a prefetch hint: its cache
-	// publication is tagged so the hit/wasted telemetry can tell prefetched
-	// entries from ones point reads fetched for themselves.
-	prefetch bool
-	// flight is the singleflight registration a batch read claimed for this
-	// chunk, so concurrent point readers follow the batch instead of paying
-	// the same I/O. completeBatchPlan releases it; nil for point-read plans
-	// (Read registers through flights.do itself).
-	flight *readFlight
-}
-
-// planRead snapshots everything a cache-miss read needs under the shared
-// lock. It returns (nil, nil) when the chunk's map node is not resident in
-// memory — the caller falls back to the exclusive path — and a non-nil plan
-// alongside an ErrTampered error when the entry itself is damaged, so the
-// caller can route the failure through the quarantine protocol.
-func (s *Store) planRead(cid ChunkID) (*readPlan, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	return s.planReadLocked(cid)
-}
-
-// planReadLocked is planRead's body, shared with the batch read planner
-// (which plans a whole window of chunks under one shared-lock section).
-// Caller holds s.mu (shared suffices) and has checked the closed flag.
-func (s *Store) planReadLocked(cid ChunkID) (*readPlan, error) {
-	e, resident := s.lm.getCached(cid)
-	if !resident {
-		return nil, nil
-	}
-	if e.isEmpty() {
-		if s.alloc.isAllocated(cid) {
-			return nil, fmt.Errorf("%w: %d", ErrNotWritten, cid)
-		}
-		return nil, fmt.Errorf("%w: %d", ErrNotAllocated, cid)
-	}
-	if reason, ok := s.quarantine[cid]; ok {
-		return nil, degradedReadErr(cid, fmt.Errorf("quarantined: %s (%w)", reason, ErrTampered))
-	}
-	p := &readPlan{cid: cid, e: e, stamp: s.locEpoch.Load()}
-	seg, ok := s.segs.segs[e.loc.Seg]
-	if !ok {
-		return p, fmt.Errorf("%w: reference to missing segment %d", ErrTampered, e.loc.Seg)
-	}
-	if int64(e.loc.Off)+int64(e.loc.Len) > seg.size || e.loc.Len < recordHeaderSize {
-		return p, fmt.Errorf("%w: record %v out of segment bounds", ErrTampered, e.loc)
-	}
-	p.buf = make([]byte, e.loc.Len)
-	p.fromFile = int64(len(p.buf))
-	off := int64(e.loc.Off)
-	if ss := s.segs; seg == ss.wbSeg && len(ss.wb) > 0 && off+int64(len(p.buf)) > ss.wbOff {
-		// Part of the record still lives in the write-behind buffer, which
-		// may flush or rewind once the lock drops: copy that suffix now.
-		// The flushed prefix below wbOff is stable — published record bytes
-		// are never rewritten, and rewind only discards unpublished tails.
-		p.fromFile = 0
-		if off < ss.wbOff {
-			p.fromFile = ss.wbOff - off
-		}
-		if start := off + p.fromFile - ss.wbOff; start < int64(len(ss.wb)) {
-			copy(p.buf[p.fromFile:], ss.wb[start:])
-		}
-	}
-	// Pin the segment so the cleaner cannot close its file handle while the
-	// off-lock read is using it (free defers the close to the last unpin).
-	seg.readers.Add(1)
-	p.seg = seg
-	return p, nil
-}
-
-// executeRead runs the expensive half of a cache-miss read — segment I/O,
-// record parsing, Merkle hash validation, decryption — with no lock held.
-func (s *Store) executeRead(p *readPlan) ([]byte, error) {
-	if p.fromFile > 0 {
-		if err := s.segs.fileReadAt(p.seg, p.buf[:p.fromFile], int64(p.e.loc.Off)); err != nil {
-			return nil, err
-		}
-	}
-	typ, body, err := parseRecordBytes(p.e.loc, p.buf)
-	if err != nil {
-		return nil, err
-	}
-	return s.validateChunkRecord(p.cid, p.e, typ, body)
-}
-
-// finishRead revalidates a completed off-lock read under the shared lock
-// and publishes its result. done=false means the snapshot went stale (the
-// cleaner or a commit moved the record mid-read) and the caller must retry;
-// the read's outcome — success or failure — is discarded, because it was
-// computed against bytes that may no longer be the chunk's current version.
-func (s *Store) finishRead(p *readPlan, plain []byte, rerr error) (data []byte, err error, done bool) {
-	s.mu.RLock()
-	s.segs.unpinReaderLocked(p.seg)
-	closed := s.closed.Load()
-	reason, quarantined := s.quarantine[p.cid]
-	current := s.locEpoch.Load() == p.stamp
-	if !current {
-		// The epoch moved, but most movements touch other chunks: the read
-		// is still good if this chunk's entry is unchanged.
-		if cur, resident := s.lm.getCached(p.cid); resident && cur.loc == p.e.loc && sec.HashEqual(cur.hash, p.e.hash) {
-			current = true
-		}
-	}
-	if current && rerr == nil && !closed && !quarantined {
-		s.rcache.putTagged(p.cid, p.e.hash, plain, p.prefetch)
-	}
-	s.mu.RUnlock()
-	switch {
-	case closed:
-		return nil, ErrClosed, true
-	case quarantined:
-		// A scrub quarantined the chunk while the read was in flight.
-		return nil, degradedReadErr(p.cid, fmt.Errorf("quarantined: %s (%w)", reason, ErrTampered)), true
-	case !current:
-		return nil, nil, false
-	case rerr != nil:
-		if errors.Is(rerr, ErrTampered) && !errors.Is(rerr, ErrIO) {
-			if err, done := s.failTamperedRead(p.cid, p.e, rerr); done {
-				return nil, err, true
-			}
-			// The entry moved between the revalidation above and the
-			// exclusive-lock confirmation: the failure was computed against a
-			// superseded snapshot, not damage. Retry.
-			return nil, nil, false
-		}
-		return nil, rerr, true
-	}
-	return plain, nil, true
-}
-
-// failTamperedRead handles a validation failure from the off-lock read
-// path: under the exclusive lock it confirms the failing snapshot still
-// describes the chunk's current version, then quarantines. done=false means
-// the entry moved mid-read — the failure was read against a stale snapshot,
-// not damage — and the caller must retry.
-func (s *Store) failTamperedRead(cid ChunkID, e entry, rerr error) (err error, done bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failTamperedReadLocked(cid, e, rerr)
-}
-
-func (s *Store) failTamperedReadLocked(cid ChunkID, e entry, rerr error) (error, bool) {
-	if s.closed.Load() {
-		return ErrClosed, true
-	}
-	cur, err := s.lm.get(cid)
-	if err != nil {
-		return err, true
-	}
-	if cur.isEmpty() || cur.loc != e.loc || !sec.HashEqual(cur.hash, e.hash) {
-		return nil, false
-	}
-	// Same damage a locked read would have found: degrade the chunk and
-	// quarantine it so later reads fail fast without touching storage.
-	s.quarantine[cid] = rerr.Error()
-	return degradedReadErr(cid, rerr), true
-}
-
-func (s *Store) readLocked(cid ChunkID) ([]byte, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	e, err := s.lm.get(cid)
-	if err != nil {
-		return nil, err
-	}
-	if e.isEmpty() {
-		if s.alloc.isAllocated(cid) {
-			return nil, fmt.Errorf("%w: %d", ErrNotWritten, cid)
-		}
-		return nil, fmt.Errorf("%w: %d", ErrNotAllocated, cid)
-	}
-	if reason, ok := s.quarantine[cid]; ok {
-		return nil, degradedReadErr(cid, fmt.Errorf("quarantined: %s (%w)", reason, ErrTampered))
-	}
-	plain, err := s.readChunkAtLocked(cid, e)
-	if err != nil {
-		// Damage confined to this chunk's stored bytes degrades the chunk
-		// (and quarantines it) rather than failing like whole-store
-		// tampering; environmental I/O failures pass through untouched.
-		if errors.Is(err, ErrTampered) && !errors.Is(err, ErrIO) {
-			s.quarantine[cid] = err.Error()
-			return nil, degradedReadErr(cid, err)
-		}
-		return nil, err
-	}
-	s.rcache.put(cid, e.hash, plain)
-	return plain, nil
-}
-
-// readChunkAtLocked fetches, validates, and decrypts the chunk version at e.
-func (s *Store) readChunkAtLocked(cid ChunkID, e entry) ([]byte, error) {
-	typ, body, err := s.segs.readRecord(e.loc)
-	if err != nil {
-		return nil, err
-	}
-	return s.validateChunkRecord(cid, e, typ, body)
-}
-
-// validateChunkRecord checks a fetched record against the chunk's map entry
-// and decrypts it: pure computation over the supplied bytes, shared by the
-// locked read path and the off-mutex one (executeRead).
-func (s *Store) validateChunkRecord(cid ChunkID, e entry, typ byte, body []byte) ([]byte, error) {
-	if typ != recWrite {
-		return nil, fmt.Errorf("%w: chunk %d record at %v has type %d", ErrTampered, cid, e.loc, typ)
-	}
-	gotCid, ciphertext, err := parseWriteRecord(body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
-	}
-	if gotCid != cid {
-		return nil, fmt.Errorf("%w: record at %v names chunk %d, want %d", ErrTampered, e.loc, gotCid, cid)
-	}
-	if !sec.HashEqual(s.suite.Hash(ciphertext), e.hash) {
-		return nil, fmt.Errorf("%w: chunk %d fails hash validation", ErrTampered, cid)
-	}
-	plain, err := s.suite.Decrypt(ciphertext)
-	if err != nil {
-		return nil, fmt.Errorf("%w: decrypting chunk %d: %v", ErrTampered, cid, err)
-	}
-	return plain, nil
 }
 
 // batch op kinds.

@@ -19,7 +19,7 @@ type testEnv struct {
 	cfg     Config
 }
 
-func newTestEnv(t *testing.T, suiteName string) *testEnv {
+func newTestEnv(t testing.TB, suiteName string) *testEnv {
 	t.Helper()
 	suite, err := sec.NewSuite(suiteName, []byte("test-device-secret-0123456789abc"))
 	if err != nil {
@@ -39,7 +39,7 @@ func newTestEnv(t *testing.T, suiteName string) *testEnv {
 	return env
 }
 
-func (env *testEnv) open(t *testing.T) *Store {
+func (env *testEnv) open(t testing.TB) *Store {
 	t.Helper()
 	s, err := Open(env.cfg)
 	if err != nil {
@@ -49,7 +49,7 @@ func (env *testEnv) open(t *testing.T) *Store {
 }
 
 // writeChunk is a one-op durable commit helper.
-func writeChunk(t *testing.T, s *Store, cid ChunkID, data []byte) {
+func writeChunk(t testing.TB, s *Store, cid ChunkID, data []byte) {
 	t.Helper()
 	b := s.NewBatch()
 	b.Write(cid, data)
@@ -58,7 +58,7 @@ func writeChunk(t *testing.T, s *Store, cid ChunkID, data []byte) {
 	}
 }
 
-func allocWrite(t *testing.T, s *Store, data []byte) ChunkID {
+func allocWrite(t testing.TB, s *Store, data []byte) ChunkID {
 	t.Helper()
 	cid, err := s.AllocateChunkID()
 	if err != nil {

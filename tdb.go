@@ -102,8 +102,10 @@ type (
 	GroupCommitConfig = chunkstore.GroupCommitConfig
 	// Stats is what DB.Stats reports: storage sizes, commit/cleaning
 	// counters, and read-path telemetry (read-cache hits, misses, shard
-	// count, slow-path fallbacks, and the scan-prefetch counters:
-	// coalesced reads, prefetched chunks, prefetch hits and wasted).
+	// count, ReadSlowPaths — the chunks, not calls, that a point or batch
+	// read resolved under the exclusive lock — and the scan-prefetch
+	// counters: coalesced reads, prefetched chunks, prefetch hits and
+	// wasted).
 	Stats = chunkstore.Stats
 )
 
