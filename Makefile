@@ -70,12 +70,15 @@ fuzz:
 # check is the pre-merge gate: the fault-injection suite, the chaos oracle,
 # the record fuzzer, vet, the trust-invariant analyzers, the full suite
 # under the race detector (the chunk store's commit pipeline and read cache
-# are concurrent), and a one-shot pass over every benchmark so the perf
-# harness can't silently rot.
+# are concurrent), the repository benchmark's own tests under the race
+# detector (perfbench is a separate module, so ./... does not reach it; they
+# run the tpcb, meters and catalog workloads at smoke size), and a one-shot
+# pass over every benchmark so the perf harness can't silently rot.
 check: faults chaos fuzz
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...
+	(cd perfbench && $(GO) test -race -count=1 .)
 	$(MAKE) bench-smoke
 
 # bench reproduces the commit-pipeline / read-cache numbers recorded in

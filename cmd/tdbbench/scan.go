@@ -54,8 +54,8 @@ type scanRunResult struct {
 	PrefetchedChunksPerScan float64 `json:"prefetched_chunks_per_scan"`
 	// PrefetchHits counts prefetched chunks later consumed through the read
 	// cache; PrefetchWasted counts ones evicted with the tag still set
-	// (which includes chunks consumed through the warmed decode cache
-	// instead — the snapshot-scan fast path — so wasted is an upper bound).
+	// (which includes chunks consumed through the warmed object cache
+	// instead — the scan fast path — so wasted is an upper bound).
 	PrefetchHits   int64 `json:"prefetch_hits"`
 	PrefetchWasted int64 `json:"prefetch_wasted"`
 	// ReadSlowPaths counts chunk reads that fell back to the exclusive-lock

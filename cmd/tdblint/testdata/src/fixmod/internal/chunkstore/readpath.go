@@ -1,9 +1,11 @@
-// readpath.go — off-mutex read-path fixture (DESIGN.md §7.7): a cache miss
-// snapshots the location under a short RLock section, runs I/O and decrypt
-// with no lock held, and revalidates before publishing. locked-io must stay
-// silent on the pure snapshot/revalidate sections yet still track RLock
-// regions, and the read-cache shard mutex must show up as its own lock
-// class in the module lock-order graph.
+// readpath.go — off-mutex read-path fixture (DESIGN.md §7.7): a read is a
+// loop of rounds. Each round claims or joins the chunk's flight and
+// snapshots the location under one short RLock section, runs the claimed
+// read's I/O and decrypt with no lock held, revalidates, and completes the
+// flight — or abandons it when the plan went stale — before waiting on a
+// flight it joined. locked-io must stay silent on the pure plan/revalidate
+// sections yet still track RLock regions, and the read-cache shard mutex
+// must show up as its own lock class in the module lock-order graph.
 package chunkstore
 
 import (
@@ -14,13 +16,14 @@ import (
 )
 
 type rstore struct {
-	mu     sync.RWMutex
-	epoch  uint64
-	length int
-	file   platform.File
-	suite  sec.Suite
-	retry  RetryPolicy
-	shards []*rshard
+	mu      sync.RWMutex
+	epoch   uint64
+	length  int
+	file    platform.File
+	suite   sec.Suite
+	retry   RetryPolicy
+	shards  []*rshard
+	flights *rflights
 }
 
 // rshard is the fixture read-cache shard: its mutex is a distinct lock
@@ -30,34 +33,91 @@ type rshard struct {
 	m  map[uint64][]byte
 }
 
-// readMiss is the off-mutex read pattern: negative. The RLock sections are
-// pure (field snapshot, epoch compare), and the platform read and bulk
-// decrypt run with no lock held, funneled through the retry policy.
-func (s *rstore) readMiss(id uint64) ([]byte, error) {
-	s.mu.RLock()
-	n := s.length
-	stamp := s.epoch
-	s.mu.RUnlock()
+// readRounds is the one retry budget of the read loop.
+const readRounds = 3
 
-	buf := make([]byte, n)
-	if err := s.retry.run(func() error {
-		_, err := s.file.ReadAt(buf, int64(id))
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	plain, err := s.suite.Decrypt(buf)
-	if err != nil {
-		return nil, err
-	}
+// rflight is one chunk read in progress: the reader that claimed it leads
+// it and must complete or abandon it; joiners wait on done.
+type rflight struct {
+	done chan struct{}
+	data []byte
+}
 
-	s.mu.RLock()
-	current := s.epoch == stamp
-	s.mu.RUnlock()
-	if !current {
-		return nil, nil
+// rflights is the fixture flight table (chunkstore.rflights.mu, ordered
+// after chunkstore.rstore.mu: rounds claim under the plan section).
+type rflights struct {
+	mu sync.Mutex
+	m  map[uint64]*rflight
+}
+
+// claim leads a new flight for id, or joins the one in progress.
+func (f *rflights) claim(id uint64) (lead, joined *rflight) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if fl := f.m[id]; fl != nil {
+		return nil, fl
 	}
-	return plain, nil
+	fl := &rflight{done: make(chan struct{})}
+	f.m[id] = fl
+	return fl, nil
+}
+
+// complete publishes a led flight's result and releases it.
+func (f *rflights) complete(id uint64, fl *rflight, data []byte) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	fl.data = data
+	delete(f.m, id)
+	close(fl.done)
+}
+
+// abandon releases a led flight without a result; joiners retry.
+func (f *rflights) abandon(id uint64, fl *rflight) { f.complete(id, fl, nil) }
+
+// read is the one read protocol: negative. The RLock sections are pure
+// (flight claim, field snapshot, epoch compare), the platform read and bulk
+// decrypt run with no lock held, funneled through the retry policy, and the
+// round waits on a joined flight only while it leads none.
+func (s *rstore) read(id uint64) ([]byte, error) {
+	for round := 0; round < readRounds; round++ {
+		s.mu.RLock()
+		lead, joined := s.flights.claim(id)
+		n := s.length
+		stamp := s.epoch
+		s.mu.RUnlock()
+		if joined != nil {
+			<-joined.done
+			if joined.data != nil {
+				return joined.data, nil
+			}
+			continue
+		}
+
+		buf := make([]byte, n)
+		if err := s.retry.run(func() error {
+			_, err := s.file.ReadAt(buf, int64(id))
+			return err
+		}); err != nil {
+			s.flights.abandon(id, lead)
+			return nil, err
+		}
+		plain, err := s.suite.Decrypt(buf)
+		if err != nil {
+			s.flights.abandon(id, lead)
+			return nil, err
+		}
+
+		s.mu.RLock()
+		current := s.epoch == stamp
+		s.mu.RUnlock()
+		if !current {
+			s.flights.abandon(id, lead)
+			continue
+		}
+		s.flights.complete(id, lead, plain)
+		return plain, nil
+	}
+	return nil, nil // budget spent: the caller takes the exclusive slow path
 }
 
 // decryptUnderReadLock holds the read lock across bulk crypto: positive

@@ -454,6 +454,6 @@ func (s *Store) checkpointLocked() error {
 	// The nodes written above can be evicted again: return them from the
 	// pool's parked list and trim the pool back to its budget.
 	s.cfg.CachePool.Unpark()
-	s.cfg.CachePool.Enforce()
+	s.mapCache.Enforce()
 	return nil
 }

@@ -95,8 +95,9 @@ type Config struct {
 	// segment.
 	CleanStepBytes int64
 	// CachePool is the shared LRU pool for map nodes; one pool may be
-	// shared with the object store's object cache (paper §4.2.2). If nil a
-	// private 4 MiB pool is created.
+	// shared with the object store's cache of committed objects (paper
+	// §4.2.2), each cache evicting its own entries under its own lock. If
+	// nil a private 4 MiB pool is created.
 	CachePool *lru.Pool
 	// ReadCacheBytes bounds the validated-plaintext read cache, which serves
 	// repeat reads without taking the store mutex. 0 selects the default

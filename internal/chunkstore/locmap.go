@@ -58,7 +58,7 @@ func (m *locMap) registerNode(n *mapNode) {
 	if n.dirty {
 		m.dirtyBytes += size
 	}
-	n.cacheEnt = m.cs.cfg.CachePool.Add(size, func() bool { return m.evict(n) })
+	n.cacheEnt = m.cs.mapCache.Add(size, func() bool { return m.evict(n) })
 }
 
 // unregisterNode removes the node from the pool without eviction; the node

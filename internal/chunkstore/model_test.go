@@ -337,6 +337,7 @@ func TestMapNodeCacheEviction(t *testing.T) {
 	defer s.Close()
 	// Tiny pool: force constant node eviction and reloading.
 	s.cfg.CachePool = newTinyPool()
+	s.mapCache = s.cfg.CachePool.NewOwner()
 	s.lm.registerNode(s.lm.root)
 	want := map[ChunkID][]byte{}
 	for i := 0; i < 500; i++ {

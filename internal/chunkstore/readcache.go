@@ -31,9 +31,11 @@ import (
 // two shard locks); the cache never calls back into the store.
 //
 // Each shard owns a dedicated lru.Pool with an equal slice of the byte
-// budget, rather than the store's shared map node pool: lru.Pool is not
-// safe for concurrent use and the map node pool is serialized by Store.mu,
-// which cache hits deliberately do not take.
+// budget, rather than sharing the store's pool of map nodes and objects:
+// entries in a shared pool are evicted only under their owner's lock, and a
+// shard is its pool's only owner, so its evictions run under sh.mu alone.
+// Keeping the plaintext cache off the shared pool also keeps its budget
+// (Config.ReadCacheBytes) separate from the object and map node budget.
 type readCache struct {
 	shards []*rcShard
 	mask   uint64
@@ -53,6 +55,7 @@ type rcShard struct {
 	mu     sync.RWMutex
 	rc     *readCache
 	pool   *lru.Pool
+	lru    *lru.Owner // pool's only owner; called under mu
 	byHash map[string]*rcEntry
 	byCID  map[ChunkID]*rcEntry
 }
@@ -104,9 +107,11 @@ func newReadCache(budget int64) *readCache {
 	n := rcShardCount(budget)
 	rc := &readCache{shards: make([]*rcShard, n), mask: uint64(n - 1)}
 	for i := range rc.shards {
+		pool := lru.NewPool(budget / int64(n))
 		rc.shards[i] = &rcShard{
 			rc:     rc,
-			pool:   lru.NewPool(budget / int64(n)),
+			pool:   pool,
+			lru:    pool.NewOwner(),
 			byHash: make(map[string]*rcEntry),
 			byCID:  make(map[ChunkID]*rcEntry),
 		}
@@ -176,7 +181,7 @@ func (rc *readCache) put(cid ChunkID, hash []byte, plain []byte, prefetched bool
 		e = &rcEntry{hash: h, data: append([]byte(nil), plain...), cids: make(map[ChunkID]struct{}, 1)}
 		e.prefetched.Store(prefetched)
 		sh.byHash[h] = e
-		e.ent = sh.pool.Add(int64(len(e.data))+rcEntryOverhead, func() bool {
+		e.ent = sh.lru.Add(int64(len(e.data))+rcEntryOverhead, func() bool {
 			if e.prefetched.Swap(false) {
 				rc.prefetchWasted.Add(1)
 			}

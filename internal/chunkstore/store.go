@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"tdb/internal/lru"
 	"tdb/internal/platform"
 	"tdb/internal/sec"
 )
@@ -31,6 +32,10 @@ type Store struct {
 	segs  *segmentSet
 	lm    *locMap
 	alloc *allocator
+	// mapCache is the location map's share of cfg.CachePool. Every call
+	// through it runs under the exclusive mu, which is what map node
+	// eviction callbacks rely on.
+	mapCache *lru.Owner
 
 	// rcache serves validated plaintext reads without the state mutex. It
 	// is created at Open and never reassigned, so it may be dereferenced
@@ -175,6 +180,7 @@ func Open(cfg Config) (*Store, error) {
 		}
 		s.counterVal = v
 	}
+	s.mapCache = cfg.CachePool.NewOwner()
 	s.rcache = newReadCache(cfg.ReadCacheBytes)
 	s.flights = newReadFlights()
 	// readSuperblock caches the superblock handle on s.superFile; failed

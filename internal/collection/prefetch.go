@@ -21,8 +21,9 @@ func PrefetchActive() int64 { return prefetchActive.Load() }
 // The iterator's materialized result set is a perfect prefetch plan — every
 // oid it will dereference is known up front — so the prefetcher walks that
 // plan a bounded distance ahead of the consumer, warming the chunk-level read
-// cache and the MVCC decode cache through Txn.Prefetch (which is the one Txn
-// method documented safe for use concurrent with opens on the same Txn).
+// cache and the object store's cache of committed objects through
+// Txn.Prefetch (which is the one Txn method documented safe for use
+// concurrent with opens on the same Txn).
 //
 // Backpressure and batching: the goroutine sleeps until the uncovered part
 // of the window is at least half the window deep (or the tail of the result
@@ -32,8 +33,8 @@ func PrefetchActive() int64 { return prefetchActive.Load() }
 // single segment reads.
 //
 // Staleness is not the prefetcher's problem: Txn.Prefetch publishes through
-// the chunk store's epoch-revalidated read path and the version table's
-// pinned decode path, so a cleaner relocation or concurrent commit mid-scan
+// the chunk store's epoch-revalidated read path and caches objects only
+// after the version table's pinned no-chain check, so a cleaner relocation or concurrent commit mid-scan
 // invalidates rather than corrupts; a wasted prefetch is just a miss later.
 type prefetcher struct {
 	t    *objectstore.Txn

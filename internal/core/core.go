@@ -60,8 +60,11 @@ type Options struct {
 	// registry.
 	Registry *objectstore.Registry
 
-	// CacheBytes is the shared cache budget for objects and location map
-	// nodes (default 4 MiB, the paper's benchmark configuration).
+	// CacheBytes is the one budget for decoded objects and location map
+	// nodes, which share one LRU order (default 4 MiB, the paper's
+	// benchmark configuration). Every decoded object the object store
+	// keeps — for 2PL, snapshot and prefetching readers alike — counts
+	// against it; the plaintext read cache has its own ReadCacheBytes.
 	CacheBytes int64
 	// SegmentSize, Fanout, MaxUtilization, CheckpointBytes, CleanStepBytes
 	// tune the chunk store (zero values select defaults; see

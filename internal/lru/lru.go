@@ -1,12 +1,13 @@
 // Package lru implements a shared least-recently-used cache pool.
 //
 // TDB maintains one LRU list shared between the caches of different layers —
-// the object store's object cache and the chunk store's cache of location
-// map nodes — so that the total cache budget is dynamically apportioned to
-// whichever cache needs it (paper §4.2.2). This package provides that shared
-// list: owners register entries with a size and an eviction callback; when
-// the pool exceeds its budget, the least recently used unpinned entries are
-// evicted through their callbacks.
+// the object store's cache of committed objects and the chunk store's cache
+// of location map nodes — so that the total cache budget is dynamically
+// apportioned to whichever cache needs it (paper §4.2.2). Each cache is an
+// Owner adding entries with a size and an eviction callback; over budget,
+// the least recently used entries are evicted through their callbacks, each
+// under its owner's lock: enforcement hands another owner's entry over, and
+// that owner evicts it at its next Add or Enforce.
 package lru
 
 import (
@@ -15,39 +16,50 @@ import (
 )
 
 // Entry is a cache resident registered with a Pool. The zero value is not
-// usable; create entries through Pool.Add.
+// usable; create entries through Owner.Add.
 type Entry struct {
-	pool *Pool
-	elem *list.Element
-	// parked reports that elem lives on the pool's parked list rather than
-	// its LRU list.
-	parked bool
-	size   int64
-	pins   int
-	// evict is called with the pool's lock held when the pool discards the
-	// entry. It must drop the owner's reference and must not call back
-	// into the pool. Returning false vetoes the eviction (e.g., a map node
-	// with cached children); the pool then parks this entry.
+	owner *Owner
+	elem  *list.Element
+	// on is the list elem lives on — the pool's LRU or parked list, or the
+	// owner's handed list — and nil once the entry has left the pool.
+	on   *list.List
+	size int64
+	// evict is called with the pool's lock held, inside an Add or Enforce
+	// of the entry's owner. It must drop the owner's reference, take no
+	// lock and not call back into the pool. Returning false vetoes the
+	// eviction (e.g., a map node with cached children); the pool then parks
+	// this entry.
 	evict func() bool
 }
 
 // Pool is a fixed-budget LRU list. Its bookkeeping is guarded by its own
-// lock, because the layers sharing one pool serialize on different
-// mutexes; the eviction callbacks run under that lock.
+// lock, which owners take last, while holding their own.
 //
-// Entries that cannot be evicted when enforcement reaches them (pinned, or
-// vetoing because their owner still needs them — dirty objects, dirty map
-// nodes) move to a parked list that enforcement never scans. A parked entry
-// returns to the LRU list when it is touched, when its last pin drops, or
-// when its owner calls Unpark after making it evictable again (a checkpoint
-// cleaning the map). Each vetoing entry thus costs one evict callback per
-// park instead of one per enforcement pass.
+// Entries that veto eviction (dirty map nodes, map nodes with cached
+// children) move to a parked list that enforcement never scans. A parked
+// entry returns to the LRU list when it is touched, or when an owner calls
+// Unpark after making it evictable again (a checkpoint cleaning the map).
+// Each vetoing entry thus costs one evict callback per park instead of one
+// per enforcement pass.
 type Pool struct {
 	mu     sync.Mutex
 	budget int64
 	used   int64
+	// handed is the size of the entries handed to their owners for
+	// eviction; enforcement counts them as already gone.
+	handed int64
 	ll     *list.List // front = most recently used
 	parked *list.List // front = most recently parked
+}
+
+// Owner is one cache's share of a Pool. Every call through an Owner, and
+// every Touch and Remove of its entries, is made under the owner's own
+// lock.
+type Owner struct {
+	pool *Pool
+	// handed holds this owner's entries that another owner's enforcement
+	// chose for eviction. Guarded by pool.mu.
+	handed *list.List
 }
 
 // NewPool creates a pool with the given byte budget. A non-positive budget
@@ -56,7 +68,13 @@ func NewPool(budget int64) *Pool {
 	return &Pool{budget: budget, ll: list.New(), parked: list.New()}
 }
 
-// Used returns the total size of resident entries, parked ones included.
+// NewOwner registers a cache sharing the pool.
+func (p *Pool) NewOwner() *Owner {
+	return &Owner{pool: p, handed: list.New()}
+}
+
+// Used returns the total size of resident entries, parked and handed ones
+// included.
 func (p *Pool) Used() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -66,120 +84,98 @@ func (p *Pool) Used() int64 {
 // Budget returns the configured byte budget.
 func (p *Pool) Budget() int64 { return p.budget }
 
-// Len returns the number of resident entries, parked ones included.
-func (p *Pool) Len() int {
+// Add registers a new entry of the given size as most recently used, after
+// enforcing the budget as Enforce does. The entry being added is never
+// evicted by its own Add: the caller is, by definition, about to use it.
+func (o *Owner) Add(size int64, evict func() bool) *Entry {
+	p := o.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.ll.Len() + p.parked.Len()
-}
-
-// Add registers a new entry of the given size as most recently used and
-// then enforces the budget. The evict callback must remove the owner's
-// reference to the cached value and return true, or return false to veto.
-//
-// The entry being added is never evicted by its own enforcement pass: the
-// caller is, by definition, about to use the value, and evicting it midway
-// would hand back a reference the owner no longer tracks.
-func (p *Pool) Add(size int64, evict func() bool) *Entry {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e := &Entry{pool: p, size: size, evict: evict}
-	e.elem = p.ll.PushFront(e)
 	p.used += size
-	e.pins++
-	p.enforceLocked()
-	e.unpinLocked()
+	o.enforceLocked()
+	e := &Entry{owner: o, size: size, evict: evict}
+	e.elem, e.on = p.ll.PushFront(e), p.ll
 	return e
 }
 
-// Touch marks the entry most recently used, returning it from the parked
-// list if it was parked.
-func (e *Entry) Touch() {
-	e.pool.mu.Lock()
-	defer e.pool.mu.Unlock()
-	switch {
-	case e.elem == nil:
-	case e.parked:
-		e.pool.unparkLocked(e)
-	default:
-		e.pool.ll.MoveToFront(e.elem)
+// Enforce evicts the entries handed to this owner, then walks the LRU end
+// of the pool until it fits its budget, evicting this owner's entries and
+// handing over the others'. Vetoing entries are parked, so the walk sees
+// each resident at most once per park; when every resident is parked the
+// pool exceeds its budget, the only sound choice.
+func (o *Owner) Enforce() {
+	o.pool.mu.Lock()
+	defer o.pool.mu.Unlock()
+	o.enforceLocked()
+}
+
+func (o *Owner) enforceLocked() {
+	p := o.pool
+	for elem := o.handed.Front(); elem != nil; elem = o.handed.Front() {
+		o.handed.Remove(elem)
+		e := elem.Value.(*Entry)
+		p.handed -= e.size
+		p.evictLocked(e)
 	}
-}
-
-// Pin prevents eviction until a matching Unpin. Pins nest.
-func (e *Entry) Pin() {
-	e.pool.mu.Lock()
-	defer e.pool.mu.Unlock()
-	e.pins++
-}
-
-// Unpin releases one pin. Dropping the last pin returns a parked entry to
-// the LRU list as most recently used.
-func (e *Entry) Unpin() {
-	e.pool.mu.Lock()
-	defer e.pool.mu.Unlock()
-	e.unpinLocked()
-}
-
-func (e *Entry) unpinLocked() {
-	if e.pins > 0 {
-		e.pins--
-		if e.pins == 0 && e.parked {
-			e.pool.unparkLocked(e)
+	for p.budget > 0 && p.used-p.handed > p.budget && p.ll.Len() > 0 {
+		e := p.ll.Remove(p.ll.Back()).(*Entry)
+		if e.owner == o {
+			p.evictLocked(e)
+			continue
 		}
+		e.elem, e.on = e.owner.handed.PushBack(e), e.owner.handed
+		p.handed += e.size
 	}
 }
 
-// Pinned reports whether the entry is currently pinned.
-func (e *Entry) Pinned() bool {
-	e.pool.mu.Lock()
-	defer e.pool.mu.Unlock()
-	return e.pins > 0
-}
-
-// Resize adjusts the entry's accounted size (an object grew or shrank) and
-// enforces the budget.
-func (e *Entry) Resize(size int64) {
-	e.pool.mu.Lock()
-	defer e.pool.mu.Unlock()
-	if e.elem == nil {
+// evictLocked runs the callback of an entry taken off its list: the entry
+// leaves the pool, or is parked if it vetoes.
+func (p *Pool) evictLocked(e *Entry) {
+	if e.evict() {
+		p.used -= e.size
+		e.elem, e.on = nil, nil
 		return
 	}
-	e.pool.used += size - e.size
-	e.size = size
-	e.pool.enforceLocked()
+	e.elem, e.on = p.parked.PushFront(e), p.parked
+}
+
+// Touch marks the entry most recently used, returning it from the parked
+// list or taking it back from its owner's handed list.
+func (e *Entry) Touch() {
+	p := e.owner.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch e.on {
+	case nil:
+	case p.ll:
+		p.ll.MoveToFront(e.elem)
+	default:
+		e.unlinkLocked()
+		e.elem, e.on = p.ll.PushFront(e), p.ll
+	}
 }
 
 // Remove unregisters the entry without invoking its eviction callback (the
 // owner is dropping it voluntarily).
 func (e *Entry) Remove() {
-	e.pool.mu.Lock()
-	defer e.pool.mu.Unlock()
-	if e.elem == nil {
+	p := e.owner.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e.on == nil {
 		return
 	}
-	e.pool.used -= e.size
-	if e.parked {
-		e.pool.parked.Remove(e.elem)
-	} else {
-		e.pool.ll.Remove(e.elem)
+	e.unlinkLocked()
+	p.used -= e.size
+	e.elem, e.on = nil, nil
+}
+
+// unlinkLocked takes the entry off the list it is on. Caller holds the
+// pool's lock.
+func (e *Entry) unlinkLocked() {
+	if e.on == e.owner.handed {
+		e.owner.pool.handed -= e.size
 	}
-	e.elem = nil
-	e.parked = false
-}
-
-// Resident reports whether the entry is still registered.
-func (e *Entry) Resident() bool {
-	e.pool.mu.Lock()
-	defer e.pool.mu.Unlock()
-	return e.elem != nil
-}
-
-// unparkLocked moves a parked entry to the front of the LRU list.
-func (p *Pool) unparkLocked(e *Entry) {
-	p.parked.Remove(e.elem)
-	e.elem = p.ll.PushFront(e)
-	e.parked = false
+	e.on.Remove(e.elem)
 }
 
 // Unpark returns every parked entry to the LRU list, behind all entries
@@ -190,45 +186,8 @@ func (p *Pool) unparkLocked(e *Entry) {
 func (p *Pool) Unpark() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for elem := p.parked.Front(); elem != nil; {
-		next := elem.Next()
-		e := elem.Value.(*Entry)
-		p.parked.Remove(elem)
-		e.elem = p.ll.PushBack(e)
-		e.parked = false
-		elem = next
-	}
-}
-
-// Enforce evicts least recently used, unpinned, non-vetoing entries until
-// the pool fits its budget. Entries that cannot be evicted are parked, so
-// the walk examines each resident at most once per park; when every
-// resident is parked the pool exceeds its budget, the only sound choice
-// when residents cannot be dropped.
-func (p *Pool) Enforce() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.enforceLocked()
-}
-
-func (p *Pool) enforceLocked() {
-	if p.budget <= 0 {
-		return
-	}
-	for p.used > p.budget {
-		elem := p.ll.Back()
-		if elem == nil {
-			return
-		}
-		e := elem.Value.(*Entry)
-		evicted := e.pins == 0 && e.evict()
-		p.ll.Remove(elem)
-		if evicted {
-			p.used -= e.size
-			e.elem = nil
-			continue
-		}
-		e.elem = p.parked.PushFront(e)
-		e.parked = true
+	for elem := p.parked.Front(); elem != nil; elem = p.parked.Front() {
+		e := p.parked.Remove(elem).(*Entry)
+		e.elem, e.on = p.ll.PushBack(e), p.ll
 	}
 }

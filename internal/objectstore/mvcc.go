@@ -59,41 +59,20 @@ type versionTable struct {
 	// capture pin + root under one read lock.
 	rootOID ObjectID
 
-	// decoded caches unpickled committed objects for the no-chain fallback
-	// path, so hot snapshot reads of stable objects (collection directories,
-	// index headers, bucket pages) skip the chunk store and the unpickling
-	// on every transaction. Entries exist only for objects with no version
-	// chain — one committed state, visible to every live pin — and are
-	// deleted the moment a writer stages a change (stage runs before the
-	// chunk-store merge, so a stale decode can never be re-read afterwards).
-	// Objects handed out from here are shared across transactions under the
-	// same contract as the 2PL shared-read cache: objects opened read-only
-	// must not be mutated. decodedBytes tracks the approximate resident
-	// pickled size for the eviction budget. Guarded by mu.
-	decoded      map[ObjectID]decodedObj
-	decodedBytes int64
+	// cache is the store's object cache; snapshots use it only for objects
+	// with no chain. stage and publish update it under mu with the chains.
+	cache *objCache
 
 	pinMu sync.Mutex
 	// pins counts active read-only transactions per pinned stamp.
 	pins map[uint64]int
 }
 
-// decodedObj is one cached unpickled committed object.
-type decodedObj struct {
-	obj  Object
-	size int64
-}
-
-// decodedBudget bounds the snapshot decode cache's resident pickled bytes.
-// Eviction is arbitrary-order (map iteration): the cache is a recoverable
-// accelerator, not a correctness structure.
-const decodedBudget = 4 << 20
-
-func newVersionTable() *versionTable {
+func newVersionTable(cache *objCache) *versionTable {
 	return &versionTable{
-		chains:  make(map[ObjectID]*verChain),
-		decoded: make(map[ObjectID]decodedObj),
-		pins:    make(map[uint64]int),
+		chains: make(map[ObjectID]*verChain),
+		cache:  cache,
+		pins:   make(map[uint64]int),
 	}
 }
 
@@ -164,14 +143,15 @@ type stagedVersion struct {
 	// for an insert), used as the baseline when a chain is created.
 	pre        []byte
 	preExisted bool
+	obj        Object // the writer's object, cached at publish; nil for a removal
 }
 
 // stage installs the batch's versions as pending, creating chains (with
-// the committed pre-image as baseline) for objects that have none. It must
-// run before the chunk store merges the batch: from this point readers
-// resolving any touched object find a chain and stop falling back to the
-// chunk store, so the merge can never leak a too-new state into an older
-// snapshot.
+// the committed pre-image as baseline) for objects that have none, and
+// drops removed objects from the cache. It must run before the chunk store
+// merges the batch: from this point readers resolving any touched object
+// find a chain and stop falling back to the chunk store or the cache, so
+// the merge can never leak a too-new state into an older snapshot.
 func (vt *versionTable) stage(staged []stagedVersion) {
 	if len(staged) == 0 {
 		return
@@ -179,9 +159,8 @@ func (vt *versionTable) stage(staged []stagedVersion) {
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
 	for _, sv := range staged {
-		if d, cached := vt.decoded[sv.oid]; cached {
-			vt.decodedBytes -= d.size
-			delete(vt.decoded, sv.oid)
+		if !sv.present {
+			vt.cache.drop(sv.oid)
 		}
 		c := vt.chains[sv.oid]
 		if c == nil {
@@ -192,9 +171,11 @@ func (vt *versionTable) stage(staged []stagedVersion) {
 	}
 }
 
-// publish assigns the next commit stamp to the staged versions and updates
-// the root mirror. It must run after the chunk store merged the batch.
-// Newly retired versions on the touched chains are reclaimed in place.
+// publish assigns the next commit stamp to the staged versions, caches the
+// written objects and updates the root mirror. It must run after the chunk
+// store merged the batch. Newly retired versions on the touched chains are
+// reclaimed in place, which may return an object to the no-chain path at
+// once: hence the cache changes under the same lock as the stamp.
 func (vt *versionTable) publish(staged []stagedVersion, rootSet bool, root ObjectID) {
 	if len(staged) == 0 && !rootSet {
 		return
@@ -218,6 +199,9 @@ func (vt *versionTable) publish(staged []stagedVersion, rootSet bool, root Objec
 		c.vers = append(c.vers, c.pend...)
 		c.pend = nil
 		vt.reclaimLocked(sv.oid, c, min)
+		if sv.present {
+			vt.cache.install(sv.oid, sv.obj, int64(len(sv.data)))
+		}
 	}
 }
 
@@ -280,20 +264,18 @@ func (vt *versionTable) sweep() {
 }
 
 // resolve returns the object state visible at pin. When the object has no
-// chain but a cached decode of its committed state exists, that shared
-// object is returned instead (obj non-nil, ok true) — no chain means the
-// one committed state is what every live pin sees. ok is false when the
-// object has neither (or, defensively, no version at or below pin): the
-// caller reads the chunk store and re-checks.
+// chain but is cached, the shared instance is returned instead (obj
+// non-nil, ok true) — no chain means the one committed state is what every
+// live pin sees. ok is false when the object has neither (or, defensively,
+// no version at or below pin): the caller reads the chunk store and
+// re-checks.
 func (vt *versionTable) resolve(oid ObjectID, pin uint64) (data []byte, obj Object, present, ok bool) {
 	vt.mu.RLock()
 	defer vt.mu.RUnlock()
 	c := vt.chains[oid]
 	if c == nil {
-		if d, cached := vt.decoded[oid]; cached {
-			return nil, d.obj, true, true
-		}
-		return nil, nil, false, false
+		obj, ok = vt.cache.get(oid)
+		return nil, obj, ok, ok
 	}
 	for i := len(c.vers) - 1; i >= 0; i-- {
 		if v := c.vers[i]; v.stamp <= pin {
@@ -303,50 +285,38 @@ func (vt *versionTable) resolve(oid ObjectID, pin uint64) (data []byte, obj Obje
 	return nil, nil, false, false
 }
 
-// decodedPut caches an unpickled committed object for the no-chain path.
-// The no-chain condition is re-checked under the write lock: the caller
-// decoded bytes it read without the lock, and a writer may have staged a
-// newer state since. The caller's snapshot pin keeps any such chain alive
-// (its baseline pre-image is visible to the pin), so chains[oid] == nil
-// still proves the decode is the one committed state.
-func (vt *versionTable) decodedPut(oid ObjectID, obj Object, size int64) {
-	vt.mu.Lock()
-	defer vt.mu.Unlock()
+// cacheUnchained caches an object decoded from an unlocked chunk-store read
+// and returns the instance to use. The no-chain condition is re-checked
+// under the lock: a writer may have staged a newer state since the read.
+// The caller's pin keeps any such chain alive (its baseline pre-image is
+// visible to the pin), so no chain proves the decode is the committed state.
+func (vt *versionTable) cacheUnchained(oid ObjectID, obj Object, size int64, prefetched bool) Object {
+	vt.mu.RLock()
+	defer vt.mu.RUnlock()
 	if vt.chains[oid] != nil {
-		return
+		return obj
 	}
-	if d, dup := vt.decoded[oid]; dup {
-		vt.decodedBytes -= d.size
-	}
-	for vt.decodedBytes+size > decodedBudget && len(vt.decoded) > 0 {
-		for k, d := range vt.decoded {
-			vt.decodedBytes -= d.size
-			delete(vt.decoded, k)
-			break
-		}
-	}
-	vt.decoded[oid] = decodedObj{obj: obj, size: size}
-	vt.decodedBytes += size
+	return vt.cache.add(oid, obj, size, prefetched)
 }
 
 // prefetchFilter returns the subset of oids a scan prefetch should pull
 // from the chunk store, under one read-locked pass: objects with a version
 // chain are skipped (they resolve from the table, and their committed chunk
 // state may be newer than what a snapshot reader will see), as are objects
-// whose committed decode is already cached. Duplicates and nil ids drop.
+// already cached. Duplicates and nil ids drop.
 func (vt *versionTable) prefetchFilter(oids []ObjectID) []ObjectID {
 	vt.mu.RLock()
 	defer vt.mu.RUnlock()
+	vt.cache.mu.Lock()
+	defer vt.cache.mu.Unlock()
 	out := make([]ObjectID, 0, len(oids))
 	var seen map[ObjectID]struct{}
 	for _, oid := range oids {
 		if oid == NilObject {
 			continue
 		}
-		if _, chained := vt.chains[oid]; chained {
-			continue
-		}
-		if _, cached := vt.decoded[oid]; cached {
+		_, chained := vt.chains[oid]
+		if _, cached := vt.cache.objs[oid]; chained || cached {
 			continue
 		}
 		if seen == nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tdb/internal/chunkstore"
+	"tdb/internal/lru"
 )
 
 // openMVCC opens an object store whose chunk store runs with group commit
@@ -303,11 +304,12 @@ func TestSnapshotPinsOnePointInHistory(t *testing.T) {
 	}
 }
 
-// TestSnapshotDecodeCacheSharing pins the decode-cache contract at the store
+// TestSnapshotDecodeCacheSharing pins the object cache contract at the store
 // level: consecutive snapshot transactions reading a stable object share one
-// unpickled instance, a commit invalidates that instance before its merge (so
-// a fresh snapshot decodes — and sees — the new state), and a snapshot pinned
-// before the commit keeps reading the old state through the version chain.
+// unpickled instance with each other and with 2PL readers, a commit replaces
+// that instance with the writer's at publish (so a fresh snapshot sees the
+// new state), and a snapshot pinned before the commit keeps reading the old
+// state through the version chain.
 func TestSnapshotDecodeCacheSharing(t *testing.T) {
 	e := newOSEnv(t)
 	s := e.open(t)
@@ -321,9 +323,10 @@ func TestSnapshotDecodeCacheSharing(t *testing.T) {
 	if err := setup.Commit(true); err != nil {
 		t.Fatalf("setup commit: %v", err)
 	}
+	s.cache.drop(oid) // start cold: the first snapshot read decodes
 
 	// First snapshot read decodes from the chunk store and caches; the second
-	// must be handed the very same instance.
+	// and a 2PL read must be handed the very same instance.
 	ro1 := s.BeginReadOnly()
 	r1, err := OpenReadonly[*Meter](ro1, oid)
 	if err != nil {
@@ -334,15 +337,25 @@ func TestSnapshotDecodeCacheSharing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot 2 read: %v", err)
 	}
-	if r1.Deref() != r2.Deref() {
-		t.Fatalf("stable object not shared across snapshots: %p vs %p", r1.Deref(), r2.Deref())
+	inst := r1.Deref()
+	if r2.Deref() != inst {
+		t.Fatalf("stable object not shared across snapshots: %p vs %p", inst, r2.Deref())
 	}
+	rw := s.Begin()
+	r3, err := OpenReadonly[*Meter](rw, oid)
+	if err != nil {
+		t.Fatalf("2PL read: %v", err)
+	}
+	if r3.Deref() != inst {
+		t.Fatalf("2PL read not served the snapshot's cached instance: %p vs %p", r3.Deref(), inst)
+	}
+	rw.Abort()
 	ro1.Abort()
 	ro2.Abort()
 
-	// Pin a snapshot, then overwrite the object. The stage step must evict
-	// the cached decode before the merge, so the post-commit snapshot cannot
-	// be handed the stale instance.
+	// Pin a snapshot, then overwrite the object. Publish must replace the
+	// cached instance, so the post-commit snapshot cannot be handed the
+	// stale one.
 	old := s.BeginReadOnly()
 	w := s.Begin()
 	wref, err := OpenWritable[*Meter](w, oid)
@@ -369,58 +382,78 @@ func TestSnapshotDecodeCacheSharing(t *testing.T) {
 	if got := oref.Deref().ViewCount; got != 7 {
 		t.Fatalf("pinned snapshot ViewCount = %d, want pre-commit 7", got)
 	}
+	if got := inst.ViewCount; got != 7 {
+		t.Fatalf("instance handed out before the commit changed: ViewCount = %d, want 7", got)
+	}
 	old.Abort()
 	fresh.Abort()
 }
 
-// TestDecodeCacheTableInvariants exercises the versionTable decode cache
-// white-box: decodedPut refuses an object that grew a chain (the stale-decode
-// race re-check), stage evicts an existing entry, and the byte budget evicts
-// rather than grows without bound.
+// TestDecodeCacheTableInvariants exercises the object cache white-box
+// through the version table: an unlocked insert is refused while the object
+// has a live chain (the stale-decode race re-check), a staged removal drops
+// the entry, publish installs the writer's object, the byte budget is
+// enforced through the shared pool, and a duplicate insert is not counted
+// twice.
 func TestDecodeCacheTableInvariants(t *testing.T) {
-	vt := newVersionTable()
+	pool := lru.NewPool(4 << 10)
+	vt := newVersionTable(newObjCache(pool))
 	obj := &Meter{ID: 1}
+	cached := func(oid ObjectID) bool { _, ok := vt.cache.objs[oid]; return ok }
 
-	// A staged chain blocks decodedPut: the decode may predate the stage.
-	sv := []stagedVersion{{oid: 7, data: []byte{1}, present: true, preExisted: true}}
+	// A staged chain blocks cacheUnchained: the decode may predate the stage.
+	sv := []stagedVersion{{oid: 7, data: []byte{1}, present: true, preExisted: true, obj: &Meter{ID: 2}}}
 	vt.stage(sv)
-	vt.decodedPut(7, obj, 100)
-	if _, cached := vt.decoded[7]; cached {
-		t.Fatalf("decodedPut cached an object with a live chain")
+	if got := vt.cacheUnchained(7, obj, 100, false); got != obj || cached(7) {
+		t.Fatalf("cacheUnchained cached an object with a live chain")
 	}
 	vt.unstage(sv)
 
-	// With no chain the put lands, and a later stage evicts it.
-	vt.decodedPut(7, obj, 100)
-	if _, cached := vt.decoded[7]; !cached {
-		t.Fatalf("decodedPut did not cache a chainless object")
+	// With no chain the insert lands, and a staged removal drops it.
+	vt.cacheUnchained(7, obj, 100, false)
+	if !cached(7) {
+		t.Fatalf("cacheUnchained did not cache a chainless object")
 	}
-	vt.stage(sv)
-	if _, cached := vt.decoded[7]; cached {
-		t.Fatalf("stage left a stale decode behind")
+	rm := []stagedVersion{{oid: 7, present: false, pre: []byte{1}, preExisted: true}}
+	vt.stage(rm)
+	if cached(7) {
+		t.Fatalf("stage left a removed object cached")
 	}
-	vt.unstage(sv)
-	if vt.decodedBytes != 0 {
-		t.Fatalf("decodedBytes = %d after eviction, want 0", vt.decodedBytes)
+	vt.unstage(rm)
+	if pool.Used() != 0 {
+		t.Fatalf("pool holds %d bytes after the drop, want 0", pool.Used())
 	}
 
-	// The budget holds: inserting past it evicts down, never grows past it.
-	const half = decodedBudget / 2
-	vt.decodedPut(1, obj, half)
-	vt.decodedPut(2, obj, half)
-	vt.decodedPut(3, obj, half)
-	if vt.decodedBytes > decodedBudget {
-		t.Fatalf("decodedBytes = %d exceeds budget %d", vt.decodedBytes, decodedBudget)
+	// Publish installs the committed writer's object in place of the
+	// cached pre-image.
+	vt.cacheUnchained(7, obj, 100, false)
+	vt.stage(sv)
+	vt.publish(sv, false, NilObject)
+	if got, _ := vt.cache.get(7); got != sv[0].obj {
+		t.Fatalf("publish left %v cached, want the writer's object", got)
 	}
-	if len(vt.decoded) != 2 {
-		t.Fatalf("decoded entries = %d after budget eviction, want 2", len(vt.decoded))
+	vt.cache.drop(7)
+
+	// The budget holds through the pool: each entry charges half of it, so
+	// a third insert evicts the least recently used.
+	const half = 2<<10 - cacheEntryOverhead
+	vt.cacheUnchained(1, obj, half, false)
+	vt.cacheUnchained(2, obj, half, false)
+	vt.cacheUnchained(3, obj, half, false)
+	if pool.Used() > pool.Budget() {
+		t.Fatalf("pool holds %d bytes, exceeds budget %d", pool.Used(), pool.Budget())
 	}
-	// Re-putting an existing id replaces, not double-counts.
-	for id := range vt.decoded {
-		vt.decodedPut(id, obj, half)
+	if len(vt.cache.objs) != 2 || cached(1) {
+		t.Fatalf("cached %d objects (oid 1 cached: %v) after budget eviction, want 2 without oid 1",
+			len(vt.cache.objs), cached(1))
 	}
-	if vt.decodedBytes > decodedBudget {
-		t.Fatalf("decodedBytes = %d after duplicate put, want <= %d", vt.decodedBytes, decodedBudget)
+	// A duplicate insert keeps the cached instance and is not counted twice.
+	if got := vt.cacheUnchained(2, &Meter{ID: 9}, half, false); got != obj {
+		t.Fatalf("duplicate insert replaced the cached instance")
+	}
+	if len(vt.cache.objs) != 2 || pool.Used() != 2*(half+cacheEntryOverhead) {
+		t.Fatalf("after duplicate insert: %d objects, %d bytes; want 2 and %d",
+			len(vt.cache.objs), pool.Used(), 2*(half+cacheEntryOverhead))
 	}
 }
 

@@ -18,10 +18,11 @@ type Config struct {
 	Chunks *chunkstore.Store
 	// Registry resolves class ids during unpickling. Required.
 	Registry *Registry
-	// CachePool is the LRU pool for the object cache; pass the same pool as
-	// the chunk store's to share one budget between the object cache and
-	// the location map cache (paper §4.2.2). If nil a private 4 MiB pool is
-	// created.
+	// CachePool is the LRU pool of the store's one cache of committed
+	// objects, which serves 2PL reads, snapshot reads and prefetch alike.
+	// Pass the chunk store's pool so the objects and the location map nodes
+	// share one budget and one LRU order (paper §4.2.2). If nil a private
+	// 4 MiB pool is created.
 	CachePool *lru.Pool
 	// LockTimeout bounds lock waits; expiry breaks deadlocks (paper §4.1,
 	// "the timeout interval can be tuned by the application"). Default
@@ -56,7 +57,7 @@ type Store struct {
 
 	chunks *chunkstore.Store
 	locks  *lockTable
-	cache  map[ObjectID]*cacheEntry
+	cache  *objCache
 	// versions is the multi-version table backing read-only snapshot
 	// transactions (BeginReadOnly); read-write transactions stage and
 	// publish committed versions through it.
@@ -72,17 +73,6 @@ type Store struct {
 	// section just to draw an id.
 	txnSeq atomic.Uint64
 	closed bool
-}
-
-// cacheEntry is one cached, unpickled object (paper §4.2.2). Caching
-// unpickled objects — decrypted, validated, type-checked — avoids double
-// caching in the application.
-type cacheEntry struct {
-	oid   ObjectID
-	obj   Object
-	size  int64
-	ent   *lru.Entry
-	dirty bool
 }
 
 // Open initializes the object store over a chunk store. A fresh chunk store
@@ -104,12 +94,13 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.ScanPrefetch == 0 {
 		cfg.ScanPrefetch = defaultScanPrefetch
 	}
+	cache := newObjCache(cfg.CachePool)
 	s := &Store{
 		cfg:      cfg,
 		chunks:   cfg.Chunks,
 		locks:    newLockTable(),
-		cache:    make(map[ObjectID]*cacheEntry),
-		versions: newVersionTable(),
+		cache:    cache,
+		versions: newVersionTable(cache),
 	}
 	if err := s.initRoot(); err != nil {
 		return nil, err
@@ -224,14 +215,16 @@ func (s *Store) BeginReadOnly() *Txn {
 	}
 }
 
-// lookupLocked returns the cached entry for oid, faulting it in from the
-// chunk store with the store mutex held by design: strict 2PL reads
-// serialize on the store mutex (§4.2.2). Caller holds s.mu.
-func (s *Store) lookupLocked(oid ObjectID) (*cacheEntry, error) {
-	if e, ok := s.cache[oid]; ok {
-		e.ent.Touch()
-		return e, nil
+// lookupLocked returns the committed object oid, from the cache or faulted
+// in from the chunk store with the store mutex held by design: strict 2PL
+// reads serialize on the store mutex (§4.2.2). The caller's object lock
+// excludes writers, so what it reads may be cached without a chain check.
+// Caller holds s.mu.
+func (s *Store) lookupLocked(oid ObjectID) (Object, error) {
+	if obj, ok := s.cache.get(oid); ok {
+		return obj, nil
 	}
+	s.cache.misses.Add(1)
 	data, err := s.chunks.Read(chunkstore.ChunkID(oid))
 	if err != nil {
 		if errors.Is(err, chunkstore.ErrNotAllocated) || errors.Is(err, chunkstore.ErrNotWritten) {
@@ -243,36 +236,19 @@ func (s *Store) lookupLocked(oid ObjectID) (*cacheEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := s.addToCache(oid, obj, int64(len(data)))
-	return e, nil
-}
-
-// addToCache registers an object in the cache.
-func (s *Store) addToCache(oid ObjectID, obj Object, size int64) *cacheEntry {
-	e := &cacheEntry{oid: oid, obj: obj, size: size}
-	e.ent = s.cfg.CachePool.Add(size+64, func() bool {
-		if e.dirty {
-			return false // no-steal: dirty objects stay until commit (§4.2.2)
-		}
-		delete(s.cache, oid)
-		return true
-	})
-	s.cache[oid] = e
-	return e
-}
-
-// dropFromCache removes an entry (aborted insert/write, committed removal).
-func (s *Store) dropFromCache(oid ObjectID) {
-	if e, ok := s.cache[oid]; ok {
-		e.ent.Remove()
-		delete(s.cache, oid)
-	}
+	return s.cache.add(oid, obj, int64(len(data)), false), nil
 }
 
 // Stats reports cache occupancy and concurrency-control state.
 type Stats struct {
+	// CachedObjects counts the objects cached for every kind of reader;
+	// CacheBytes is the shared pool's occupancy, map nodes included.
 	CachedObjects int
 	CacheBytes    int64
+	// CacheHits counts opens the object cache served, CacheMisses opens
+	// that read the chunk store instead.
+	CacheHits   uint64
+	CacheMisses uint64
 	// LockEntries is the number of live lock-table entries (snapshot
 	// transactions contribute zero).
 	LockEntries int
@@ -285,9 +261,14 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.cache.mu.Lock()
+	cached := len(s.cache.objs)
+	s.cache.mu.Unlock()
 	return Stats{
-		CachedObjects: len(s.cache),
+		CachedObjects: cached,
 		CacheBytes:    s.cfg.CachePool.Used(),
+		CacheHits:     s.cache.hits.Load(),
+		CacheMisses:   s.cache.misses.Load(),
 		LockEntries:   s.locks.entryCount(),
 		VersionChains: s.versions.chainCount(),
 	}

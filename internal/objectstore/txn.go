@@ -46,7 +46,9 @@ type Txn struct {
 
 // txnObject is the per-transaction state of one object.
 type txnObject struct {
-	entry *cacheEntry
+	// obj is the shared committed instance until the first writable open,
+	// then the transaction's private copy (or its own inserted object).
+	obj Object
 	// inserted, written, removed reflect the operations performed.
 	inserted bool
 	written  bool
@@ -80,8 +82,8 @@ func (t *Txn) lock(oid ObjectID, mode lockMode) error {
 }
 
 // Insert stores a new object and returns its persistent id (paper Figure
-// 3). The object is cached and pinned until the transaction ends; the id is
-// the id of the chunk that will hold it (§4.2.1).
+// 3). The object stays private to the transaction until its commit caches
+// it; the id is the id of the chunk that will hold it (§4.2.1).
 func (t *Txn) Insert(obj Object) (ObjectID, error) {
 	if t.readOnly {
 		return NilObject, ErrReadOnlyTxn
@@ -117,10 +119,7 @@ func (t *Txn) insertLocked(obj Object) (ObjectID, error) {
 		}
 		return NilObject, err
 	}
-	e := t.s.addToCache(oid, obj, int64(64)) // size refined at commit
-	e.dirty = true
-	e.ent.Pin()
-	t.opened[oid] = &txnObject{entry: e, inserted: true, written: true}
+	t.opened[oid] = &txnObject{obj: obj, inserted: true, written: true}
 	return oid, nil
 }
 
@@ -172,6 +171,7 @@ func (t *Txn) snapshotOpen(oid ObjectID) (Object, error) {
 		// afterwards: a commit that merged ahead of our read staged its
 		// chain (with our pre-image as baseline) before merging, so the
 		// chain is visible by now if the race happened.
+		t.s.cache.misses.Add(1)
 		raw, err := t.s.chunks.Read(chunkstore.ChunkID(oid))
 		if data, shared, present, ok = vt.resolve(oid, t.pin); !ok {
 			if err != nil {
@@ -196,22 +196,22 @@ func (t *Txn) snapshotOpen(oid ObjectID) (Object, error) {
 	}
 	if cacheable {
 		// The decode came straight from the committed chunk state with no
-		// chain in sight; share it with future snapshots (decodedPut
-		// re-checks the no-chain condition under the table lock).
-		vt.decodedPut(oid, obj, int64(len(data)))
+		// chain in sight; share it with every later reader.
+		obj = vt.cacheUnchained(oid, obj, int64(len(data)), false)
 	}
 	t.snapObjs[oid] = obj
 	return obj, nil
 }
 
 // Prefetch hints that the listed objects are about to be opened, warming
-// the read path for them: their committed chunks are fetched, validated,
-// and decrypted through the chunk store's batch read pipeline (coalesced
-// segment reads, bounded parallel decrypt) into the sharded read cache, and
-// chain-free objects are unpickled into the MVCC decode cache so snapshot
-// opens skip the chunk store entirely. It returns the number of chunks
-// warmed. Errors are deliberately swallowed — a hint must never fail harder
-// than the open it accelerates, and the open will surface them.
+// the read path for them: the committed chunks of objects that are neither
+// cached nor chained are fetched, validated, and decrypted through the
+// chunk store's batch read pipeline (coalesced segment reads, bounded
+// parallel decrypt) into the sharded read cache, and unpickled into the
+// object cache for the one open each awaits, 2PL or snapshot. It returns
+// the number of chunks warmed. Errors are deliberately swallowed — a hint
+// must never fail harder than the open it accelerates, and the open will
+// surface them.
 //
 // Unlike every other Txn method, Prefetch is safe to call concurrently
 // with opens on the same transaction (iterators drive it from a prefetch
@@ -226,9 +226,8 @@ func (t *Txn) Prefetch(oids []ObjectID) int {
 	// Pin the current stamp for the duration of the warm. The pin
 	// guarantees that any commit staging a chain for one of these objects
 	// keeps the chain alive until we are done, which is what makes
-	// decodedPut's no-chain recheck sound (see versionTable.decodedPut);
-	// the transaction's own pin cannot serve, because a read-write
-	// transaction holds none.
+	// cacheUnchained's no-chain recheck sound; the transaction's own pin
+	// cannot serve, because a read-write transaction holds none.
 	pin, _ := vt.pin()
 	defer vt.unpin(pin)
 	cands := vt.prefetchFilter(oids)
@@ -246,7 +245,7 @@ func (t *Txn) Prefetch(oids []ObjectID) int {
 		}
 		warmed++
 		if obj, err := unpickleObject(t.s.cfg.Registry, r.Data); err == nil {
-			vt.decodedPut(cands[i], obj, int64(len(r.Data)))
+			vt.cacheUnchained(cands[i], obj, int64(len(r.Data)), true)
 		}
 	}
 	return warmed
@@ -261,7 +260,8 @@ func (t *Txn) ScanPrefetch() int { return t.s.ScanPrefetch() }
 // a cache miss faults the object in from the chunk store under it (§4.2.2).
 // The snapshot read path (snapshotOpen) is the one that may not do this —
 // it must never reach the chunk store while holding a version-table lock.
-// Caller holds s.mu.
+// The first writable open swaps the shared instance for a private copy
+// unpickled from the pre-image. Caller holds s.mu.
 func (t *Txn) openLocked(oid ObjectID, mode lockMode) (Object, error) {
 	if !t.active {
 		return nil, ErrTxnDone
@@ -277,26 +277,24 @@ func (t *Txn) openLocked(oid ObjectID, mode lockMode) (Object, error) {
 		return nil, fmt.Errorf("%w: %d (removed in this transaction)", ErrNotFound, oid)
 	}
 	if !ok {
-		e, err := t.s.lookupLocked(oid)
+		obj, err := t.s.lookupLocked(oid)
 		if err != nil {
 			return nil, err
 		}
-		e.ent.Pin()
-		to = &txnObject{entry: e}
+		to = &txnObject{obj: obj}
 		t.opened[oid] = to
 	}
-	if mode == lockExclusive {
-		if !to.written {
-			to.written = true
-			to.entry.dirty = true
-			if !to.inserted {
-				to.prePickle = pickleObject(to.entry.obj)
-			}
+	if mode == lockExclusive && !to.written {
+		pre := pickleObject(to.obj)
+		priv, err := unpickleObject(t.s.cfg.Registry, pre)
+		if err != nil {
+			return nil, err
 		}
+		to.obj, to.prePickle, to.written = priv, pre, true
 	} else if t.s.cfg.ReadonlyChecks && !to.written && to.roSnapshot == nil {
-		to.roSnapshot = pickleObject(to.entry.obj)
+		to.roSnapshot = pickleObject(to.obj)
 	}
-	return to.entry.obj, nil
+	return to.obj, nil
 }
 
 // Remove deletes the named object and frees its id for reuse (paper Figure
@@ -318,18 +316,17 @@ func (t *Txn) Remove(oid ObjectID) error {
 		return fmt.Errorf("%w: %d (already removed)", ErrNotFound, oid)
 	}
 	if !ok {
-		e, err := t.s.lookupLocked(oid)
+		obj, err := t.s.lookupLocked(oid)
 		if err != nil {
 			return err
 		}
-		e.ent.Pin()
-		to = &txnObject{entry: e}
+		to = &txnObject{obj: obj}
 		t.opened[oid] = to
 	}
-	if !to.written && !to.inserted && to.prePickle == nil {
+	if !to.written && to.prePickle == nil {
 		// Capture the committed pre-image: if the commit has to create a
 		// version chain for this removal, the baseline is this state.
-		to.prePickle = pickleObject(to.entry.obj)
+		to.prePickle = pickleObject(to.obj)
 	}
 	to.removed = true
 	return nil
@@ -425,12 +422,12 @@ func (t *Txn) Commit(durable bool) error {
 			if to.roSnapshot == nil || to.written || to.removed {
 				continue
 			}
-			if string(pickleObject(to.entry.obj)) != string(to.roSnapshot) {
+			if string(pickleObject(to.obj)) != string(to.roSnapshot) {
 				// Evict the poisoned cache entry so the next open refetches
 				// the committed state, then fail the transaction.
+				t.s.cache.drop(oid)
 				t.s.mu.Lock()
 				t.finishLocked(true)
-				t.s.dropFromCache(oid)
 				t.s.mu.Unlock()
 				return fmt.Errorf("%w: object %d", ErrReadonlyViolation, oid)
 			}
@@ -459,18 +456,16 @@ func (t *Txn) Commit(durable bool) error {
 				oid: oid, present: false, pre: to.prePickle, preExisted: true,
 			})
 		case to.written:
-			data := pickleObject(to.entry.obj)
+			data := pickleObject(to.obj)
 			if to.prePickle != nil && string(data) == string(to.prePickle) {
 				// Opened writable but never actually changed: skip the
-				// write, but the entry is clean again.
-				to.written = false
+				// write; the cache keeps the committed instance.
 				continue
 			}
 			batch.Write(chunkstore.ChunkID(oid), data)
-			to.entry.size = int64(len(data))
 			t.staged = append(t.staged, stagedVersion{
 				oid: oid, data: data, present: true,
-				pre: to.prePickle, preExisted: !to.inserted,
+				pre: to.prePickle, preExisted: !to.inserted, obj: to.obj,
 			})
 		}
 	}
@@ -562,8 +557,9 @@ func (t *Txn) commitRootLocked(batch *chunkstore.Batch, prep *chunkstore.Prepare
 	return ticket, t.publishLocked(unusedIDs, err)
 }
 
-// publishLocked finishes a committed transaction: returns unused chunk ids
-// to the allocator, publishes cache state, and releases locks. Failures of
+// publishLocked finishes a committed transaction: publishes its versions
+// and objects, returns unused chunk ids to the allocator, and releases
+// locks. Failures of
 // this post-commit work are reported wrapped as chunkstore.ErrMaintenance;
 // the commit stands. Caller holds s.mu.
 func (t *Txn) publishLocked(unusedIDs []chunkstore.ChunkID, postErr error) error {
@@ -576,21 +572,13 @@ func (t *Txn) publishLocked(unusedIDs []chunkstore.ChunkID, postErr error) error
 			postErr = fmt.Errorf("%w: releasing unused chunk id %d: %w", chunkstore.ErrMaintenance, cid, rerr)
 		}
 	}
-	for oid, to := range t.opened {
-		if to.removed {
-			t.s.dropFromCache(oid)
-		} else if to.written {
-			to.entry.dirty = false
-			to.entry.ent.Resize(to.entry.size + 64)
-		}
-	}
 	t.finishLocked(false)
 	return postErr
 }
 
-// Abort undoes the transaction (paper Figure 3): objects opened for writing
-// are evicted from the cache (their in-memory state was mutated in place),
-// chunk ids of inserted objects are released, and all locks drop (§4.2.3).
+// Abort undoes the transaction (paper Figure 3): the private copies of
+// objects opened for writing are dropped (the cache never saw them), chunk
+// ids of inserted objects are released, and all locks drop (§4.2.3).
 func (t *Txn) Abort() {
 	if t.readOnly {
 		t.finishReadOnly()
@@ -633,21 +621,14 @@ func (t *Txn) openedOIDs() []ObjectID {
 	return oids
 }
 
-// finishLocked releases pins and locks with the store mutex held by design
-// (an aborted insert returns its chunk id to the allocator under it); with
-// evictWritten it also discards mutated cache entries. Caller holds s.mu.
-func (t *Txn) finishLocked(evictWritten bool) {
-	for _, oid := range t.openedOIDs() {
-		to := t.opened[oid]
-		to.entry.ent.Unpin()
-		if evictWritten {
-			if to.inserted {
-				t.s.dropFromCache(oid)
+// finishLocked releases locks with the store mutex held by design (an
+// aborted insert returns its chunk id to the allocator under it); with
+// aborted it also releases the ids of inserted objects. Caller holds s.mu.
+func (t *Txn) finishLocked(aborted bool) {
+	if aborted {
+		for _, oid := range t.openedOIDs() {
+			if t.opened[oid].inserted {
 				t.s.chunks.Release(chunkstore.ChunkID(oid))
-			} else if to.written {
-				// The cached object may have uncommitted mutations; drop it
-				// so the next open refetches committed state.
-				t.s.dropFromCache(oid)
 			}
 		}
 	}

@@ -46,7 +46,7 @@ func openScanDB(t *testing.T, n int, opts tdb.Options) (*tdb.DB, tdb.Options) {
 }
 
 // reopen closes db and reopens it over the same store, so every cache —
-// object, decode, chunk plaintext — starts cold and scans must pull from the
+// object, chunk plaintext — starts cold and scans must pull from the
 // chunk store.
 func reopen(t *testing.T, db *tdb.DB, opts tdb.Options) *tdb.DB {
 	t.Helper()
@@ -127,15 +127,18 @@ func TestScanPrefetchWindows(t *testing.T) {
 		t.Fatalf("CoalescedReads = 0 after a cold prefetching scan of adjacent records")
 	}
 
-	// A cold 2PL scan dereferences through the chunk store (no decode-cache
-	// shortcut), so prefetched plaintexts must surface as tagged read-cache
-	// hits.
+	// A cold 2PL scan's prefetch decodes into the object cache its own
+	// opens read (a scan without prefetch gets no hits there), so the
+	// prefetched objects must surface as object-cache hits.
 	db = reopen(t, db, opts)
 	if got := scanAllTxn(t, db, false, 32, nil); got != n {
 		t.Fatalf("2PL window 32: scanned %d objects, want %d", got, n)
 	}
-	if st := db.Stats(); st.PrefetchHits == 0 {
-		t.Fatalf("PrefetchHits = 0 after a cold 2PL prefetching scan; prefetched chunks never consumed")
+	if st := db.Stats(); st.PrefetchedChunks == 0 {
+		t.Fatalf("PrefetchedChunks = 0 after a cold 2PL prefetching scan; batch path not engaged")
+	}
+	if st := db.Objects().Stats(); st.CacheHits == 0 {
+		t.Fatalf("object cache hits = 0 after a cold 2PL prefetching scan; prefetched objects never consumed")
 	}
 
 	// Window 1 and window 0 (prefetch disabled — the pre-pipeline behavior)
